@@ -1,4 +1,4 @@
-"""Ablation benchmarks (DESIGN.md E-A1…E-A3) plus crypto micro-benches.
+"""Ablation benchmarks (E-A1…E-A3, see README) plus crypto micro-benches.
 
 These quantify the design choices the paper argues qualitatively:
 URC's canonicality premium over BRC, the TDAG blow-up factor, LSM

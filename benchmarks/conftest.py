@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
 Benchmarks run at laptop scale (hundreds to thousands of tuples); the
-scale mapping to the paper's setup is recorded in DESIGN.md §3 and the
-measured outputs in EXPERIMENTS.md.  Every fixture is deterministic.
+scale mapping to the paper's setup is recorded in README § "Reproducing
+the paper's evaluation".  Every fixture is deterministic.
 """
 
 from __future__ import annotations

@@ -36,9 +36,6 @@ _NET_TOTALS = (
 #: Core-server counters summed across reachable shards.
 _SERVER_TOTALS = ("handles", "indexes", "stored_bytes")
 
-#: Crypto-kernel counters summed across reachable shards.
-_KERNEL_TOTALS = ("batches_offloaded", "batches_serial", "serial_fallbacks")
-
 
 def summarize(shard_map: ShardMap, probes: "list[dict]") -> dict:
     """Merge per-shard probe results into the cluster health document.
@@ -48,7 +45,7 @@ def summarize(shard_map: ShardMap, probes: "list[dict]") -> dict:
     ``{"reachable": False, "error": <str>}``.
     """
     shards = []
-    totals = {key: 0 for key in _NET_TOTALS + _SERVER_TOTALS + _KERNEL_TOTALS}
+    totals = {key: 0 for key in _NET_TOTALS + _SERVER_TOTALS}
     cache_hits = 0
     cache_lookups = 0
     unreachable = []
@@ -76,10 +73,6 @@ def summarize(shard_map: ShardMap, probes: "list[dict]") -> dict:
             cache_lookups += int(cache.get("hits", 0)) + int(
                 cache.get("misses", 0)
             )
-        kernel = server.get("crypto_kernel")
-        if kernel:
-            for key in _KERNEL_TOTALS:
-                totals[key] += int(kernel.get(key, 0))
         ops = net.get("ops", {})
         # Tail latency of the query-serving op (PR-8 histograms): the
         # single number a fleet operator scans first.
@@ -91,12 +84,10 @@ def summarize(shard_map: ShardMap, probes: "list[dict]") -> dict:
             errors=int(net.get("errors", 0)),
             inflight_by_index=net.get("inflight_by_index", {}),
             exec_cache=cache,
-            crypto_kernel=kernel,
             ops=ops,
             search_p99_ms=1e3 * float(search_op.get("p99_seconds", 0.0)),
         )
         shards.append(entry)
-    kernel_batches = totals["batches_offloaded"] + totals["batches_serial"]
     return {
         "topology_version": shard_map.version,
         "shard_count": len(shard_map),
@@ -108,15 +99,6 @@ def summarize(shard_map: ShardMap, probes: "list[dict]") -> dict:
         # mean of per-shard ratios.
         "exec_cache_hit_rate": (
             cache_hits / cache_lookups if cache_lookups else 0.0
-        ),
-        # Same weighting for the crypto kernel: the fraction of all
-        # batched crypto work fleet-wide that escaped the GIL onto
-        # worker lanes.  A pooled fleet showing ~0 here is serving
-        # batches too small to clear the crossover — a tuning signal,
-        # not an error; nonzero serial_fallbacks means worker lanes
-        # are dying and queries are completing on the slow path.
-        "kernel_offload_ratio": (
-            totals["batches_offloaded"] / kernel_batches if kernel_batches else 0.0
         ),
         "shards": shards,
     }
@@ -130,14 +112,10 @@ def render_health(health: dict) -> str:
         f"{health['reachable']}/{health['shard_count']} shards reachable, "
         f"{totals['stored_bytes']} bytes stored, "
         f"{totals['frames_in']} frames served, "
-        f"exec-cache hit rate {health['exec_cache_hit_rate']:.1%}, "
-        f"kernel offload {health.get('kernel_offload_ratio', 0.0):.1%}"
+        f"exec-cache hit rate {health['exec_cache_hit_rate']:.1%}"
     )
-    fallbacks = totals.get("serial_fallbacks", 0)
-    if fallbacks:
-        summary += f" ({fallbacks} serial fallbacks)"
     lines = [summary]
-    header = f"{'shard':>5}  {'address':<21} {'state':<7} {'stored B':>10} {'frames':>8} {'errors':>7} {'p99 ms':>7} {'kernel':>9}  busiest index"
+    header = f"{'shard':>5}  {'address':<21} {'state':<7} {'stored B':>10} {'frames':>8} {'errors':>7} {'p99 ms':>7}  busiest index"
     lines.append(header)
     lines.append("-" * len(header))
     for entry in health["shards"]:
@@ -145,7 +123,7 @@ def render_health(health: dict) -> str:
             lines.append(
                 f"{fit_cell(entry['shard'], 5, '>')}  "
                 f"{fit_cell(entry['address'], 21)} "
-                f"{'DOWN':<7} {'-':>10} {'-':>8} {'-':>7} {'-':>7} {'-':>9}  {entry['error']}"
+                f"{'DOWN':<7} {'-':>10} {'-':>8} {'-':>7} {'-':>7}  {entry['error']}"
             )
             continue
         inflight = entry.get("inflight_by_index", {})
@@ -159,13 +137,6 @@ def render_health(health: dict) -> str:
                 f"peak {depth.get('peak', 0)})"
             )
         label = f" [{entry['label']}]" if entry.get("label") else ""
-        kernel = entry.get("crypto_kernel") or {}
-        if kernel.get("workers"):
-            kernel_cell = f"{kernel.get('backend', '?')}x{kernel['workers']}"
-            if kernel.get("serial_fallbacks"):
-                kernel_cell += "!"
-        else:
-            kernel_cell = kernel.get("backend", "-")
         lines.append(
             f"{fit_cell(entry['shard'], 5, '>')}  "
             f"{fit_cell(entry['address'], 21)} "
@@ -173,8 +144,7 @@ def render_health(health: dict) -> str:
             f"{fit_num(entry['stored_bytes'], 10, 0)} "
             f"{fit_num(entry['frames_in'], 8, 0)} "
             f"{fit_num(entry['errors'], 7, 0)} "
-            f"{fit_num(entry.get('search_p99_ms', 0.0), 7, 2)} "
-            f"{fit_cell(kernel_cell, 9, '>')}  {busiest}"
+            f"{fit_num(entry.get('search_p99_ms', 0.0), 7, 2)}  {busiest}"
         )
     return "\n".join(lines)
 

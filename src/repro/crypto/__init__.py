@@ -7,14 +7,7 @@ IND-CPA symmetric cipher.
 """
 
 from repro.crypto.dprf import COVER_BRC, COVER_URC, DelegationToken, GgmDprf
-from repro.crypto.kernel import (
-    CryptoKernel,
-    PooledKernel,
-    SerialKernel,
-    configure_default_kernel,
-    default_kernel,
-    make_kernel,
-)
+from repro.crypto.kernel import SerialKernel, default_kernel
 from repro.crypto.prf import (
     KEY_LEN,
     PRF_OUT_LEN,
@@ -31,19 +24,16 @@ from repro.crypto.symmetric import NONCE_LEN, TAG_LEN, SemanticCipher, active_ba
 __all__ = [
     "COVER_BRC",
     "COVER_URC",
-    "CryptoKernel",
     "DelegationToken",
     "GgmDprf",
     "KEY_LEN",
     "NONCE_LEN",
     "PRF_OUT_LEN",
-    "PooledKernel",
     "SEED_LEN",
     "SemanticCipher",
     "SerialKernel",
     "TAG_LEN",
     "active_backend",
-    "configure_default_kernel",
     "default_kernel",
     "derive_subkey",
     "fingerprint",
@@ -54,7 +44,6 @@ __all__ = [
     "g_many",
     "g_path",
     "generate_key",
-    "make_kernel",
     "prf",
     "prf_many",
     "prf_truncated",

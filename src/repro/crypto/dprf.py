@@ -67,8 +67,8 @@ class DelegationToken:
         """The token as a plain ``(seed, level)`` descriptor.
 
         The :mod:`~repro.crypto.kernel` batch currency: descriptors are
-        pure data, so a batch of them crosses a process boundary with
-        one cheap pickle — no token objects ever ship to workers.
+        pure data, so kernel batches and the expansion cache never hold
+        token objects.
         """
         return (self.seed, self.level)
 
@@ -185,7 +185,7 @@ class GgmDprf:
         Anyone holding the token can do this — ``G`` is public and the
         level says how deep to recurse.  Output order is the in-subtree
         left-to-right order, which carries no global position.  With a
-        :class:`~repro.crypto.kernel.CryptoKernel` the expansion runs
+        :class:`~repro.crypto.kernel.SerialKernel` the expansion runs
         as one kernel batch (byte-identical output).
         """
         if kernel is not None:
@@ -198,8 +198,7 @@ class GgmDprf:
     ) -> list[bytes]:
         """Expand a token vector into the concatenated leaf values.
 
-        With a kernel the whole vector rides one batch — the shape the
-        pooled backend can chunk across workers.
+        With a kernel the whole vector rides one batch.
         """
         if kernel is not None:
             values: list[bytes] = []

@@ -1,97 +1,25 @@
 """Batch-first crypto kernel: the bulk PRF/GGM evaluation seam.
 
 Every crypto hot path in the engine — GGM subtree expansion, leaf
-subkey derivation, Π_bas label derivation — is GIL-bound: each unit of
-work is one small-input ``hmac.digest`` holding the GIL, so thread
-pools cannot scale it and a single server caps out regardless of
-client count (the PR-3/PR-5 ceiling).  This module turns those paths
-into *batches* behind one pluggable API so the heavy lane can escape
-the GIL entirely:
+subkey derivation, Π_bas label derivation — runs through one
+:class:`SerialKernel` as array-in/array-out *batches*.  Batch inputs
+are plain data — ``(seed, level)`` subtree *descriptors* and
+``(label_key, counter)`` label items, never Python token objects —
+and batch outputs are arrays in input order.  The kernel runs the
+one-shot ``hmac.digest`` loops inline on the calling thread, counts
+what it evaluated, and wraps each batch in a ``kernel.batch`` span.
 
-``CryptoKernel``
-    The contract.  Batch inputs are plain data — ``(seed, level)``
-    subtree *descriptors*, ``(label_key, counter)`` label items, raw
-    byte messages — never Python token objects, so a batch can cross a
-    process boundary with one cheap pickle.  Batch outputs are arrays
-    in input order, byte-identical across backends.
-
-``SerialKernel``
-    Today's one-shot ``hmac.digest`` loop, run inline on the calling
-    thread.  The zero-overhead default: no pool, no pickling, no
-    threshold — just the same loop the engine used to inline.
-
-``PooledKernel``
-    A ``ProcessPoolExecutor`` worker lane (``"spawn"`` context — the
-    engine runs thread pools and asyncio servers, which fork cannot
-    survive).  Large batches are split into per-worker chunks weighted
-    by leaf count; keys/descriptors pickle once per chunk and workers
-    answer flat byte blobs the parent slices, so serialization cost is
-    ~32 bytes per leaf each way.  Batches under the configured
-    crossover (``offload_min_units``, in HMAC-equivalents) stay on the
-    serial path — process offload has a real floor (~0.5–1 ms
-    round-trip) that small batches can never amortize.  A crashed or
-    killed worker is detected (``BrokenProcessPool``/pipe errors), the
-    pool is torn down for lazy recreation, and the *whole batch* is
-    recomputed serially — the query completes, nothing hangs, and the
-    fallback is counted.
-
-Capacity simulation (bench-only): ``sim_hmac_s`` models each HMAC as a
-fixed service time, exactly like ``net.server``'s ``sim_core_*`` knobs
-— serial batches sleep holding one process-global lock (the GIL: one
-serial crypto core per process), offloaded batches sleep holding one
-of ``workers`` semaphore lanes (independent cores).  Results are still
-computed inline and stay byte-identical; only the *time* is simulated.
-This is what lets ``bench_crypto_kernel.py`` demonstrate worker-count
-scaling on a single-core CI box; real-pool correctness is covered by
-the differential tests and the ungated real-lane numbers.
-
-Configuration: ``REPRO_CRYPTO_WORKERS`` (unset/``0`` → serial; ``N`` →
-``PooledKernel(N)``), ``REPRO_CRYPTO_CROSSOVER`` (offload threshold in
-HMAC-equivalents), ``REPRO_CRYPTO_SIM_HMAC_US`` (simulated µs per
-HMAC, bench harnesses only).  The process-wide default kernel mirrors
-the default-executor pattern: ``default_kernel()`` /
-``configure_default_kernel()``.
+The engine calls exactly the three batch methods, so a subclass that
+overrides them (a timing wrapper, a scalar reference for differential
+tests) sees every crypto batch a query issues.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
-from repro.crypto import prf as _prf
 from repro.crypto import prg as _prg
 from repro.obs.tracing import span as _span
-
-#: Environment knobs.
-ENV_CRYPTO_WORKERS = "REPRO_CRYPTO_WORKERS"
-ENV_CRYPTO_CROSSOVER = "REPRO_CRYPTO_CROSSOVER"
-ENV_CRYPTO_SIM = "REPRO_CRYPTO_SIM_HMAC_US"
-
-#: Default offload crossover in HMAC-equivalents.  Below this a batch
-#: runs serially even on a pooled kernel: one HMAC is ~2–3 µs while a
-#: process round-trip costs hundreds of µs, so the breakeven sits in
-#: the few-hundred-HMAC range.  Deployments refit it with
-#: :func:`fit_offload_crossover` (the dispatch calibrator does).
-DEFAULT_OFFLOAD_MIN_UNITS = 1024
-
-#: Exceptions that mean "the worker lane is gone", not "the batch is
-#: bad": a killed/crashed worker surfaces as BrokenProcessPool on the
-#: future (or on submit), or as a raw pipe error mid-shuttle.
-_POOL_FAILURES = (BrokenProcessPool, OSError, EOFError)
-
-#: One per process: the simulated GIL.  Serial crypto work from any
-#: kernel instance serializes here in sim mode, because that is what
-#: the real GIL does to real serial HMAC loops.
-_SIM_GIL = threading.Lock()
-
-
-# ---------------------------------------------------------------------------
-# Serial batch primitives (shared by SerialKernel, the pooled fallback
-# path, and the worker jobs)
-# ---------------------------------------------------------------------------
 
 
 def check_descriptor(descriptor) -> "tuple[bytes, int]":
@@ -174,26 +102,6 @@ def _get_posting_label():
     return _posting_label
 
 
-def _serial_labels_blob(items) -> bytes:
-    """Concatenated posting labels for ``(label_key, counter)`` items."""
-    posting_label = _get_posting_label()
-    return b"".join(posting_label(key, counter) for key, counter in items)
-
-
-def _serial_prf_blob(key: bytes, messages) -> bytes:
-    """Concatenated PRF outputs of one key over many messages."""
-    import hashlib
-    import hmac
-
-    return b"".join(hmac.digest(key, msg, hashlib.sha512) for msg in messages)
-
-
-def _serial_prg_blob(seeds) -> bytes:
-    """Concatenated PRG expansions (``G0‖G1``, 64 bytes per seed)."""
-    expand = _prg._expand
-    return b"".join(expand(seed) for seed in seeds)
-
-
 def _slice_subkeys(blob: bytes, descriptors) -> "list[tuple]":
     """Regroup a subkey blob into per-descriptor leaf pair tuples."""
     out = []
@@ -226,538 +134,83 @@ def _slice_expand(blob: bytes, descriptors) -> "list[list[bytes]]":
     return out
 
 
-def _chunk_by_weight(items, weights, chunks: int) -> "list[list]":
-    """Split ``items`` into <= ``chunks`` contiguous runs of near-equal
-    total weight (contiguous so chunk blobs concatenate back in input
-    order with no index bookkeeping)."""
-    total = sum(weights)
-    if chunks <= 1 or len(items) <= 1:
-        return [list(items)]
-    target = total / chunks
-    out: "list[list]" = []
-    current: list = []
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        current.append(item)
-        acc += weight
-        if acc >= target and len(out) < chunks - 1:
-            out.append(current)
-            current = []
-            acc = 0.0
-    if current:
-        out.append(current)
-    return out
+class SerialKernel:
+    """Batch crypto evaluation: inline one-shot ``hmac.digest`` loops.
 
-
-# ---------------------------------------------------------------------------
-# The kernel contract
-# ---------------------------------------------------------------------------
-
-
-class CryptoKernel:
-    """Batch crypto evaluation: array-in/array-out, backend-pluggable.
-
-    Subclasses implement the five bulk primitives; this base owns the
-    shared counters, the capacity-simulation plumbing and the stats
-    surface every ops layer (server stats frame, cluster health
-    rollup) reads.
+    Exactly the code the engine inlined before the kernel seam existed
+    — no pool, no pickling, no thresholds (the ≤1.05× bench gate pins
+    this).  Owns the counters the server stats frame reports.
     """
 
-    #: Backend tag reported in stats ("serial" / "pooled").
-    name = "kernel"
-    #: Worker-lane width (0 = no offload lane exists).
-    workers = 0
-
-    def __init__(self, *, sim_hmac_s: float = 0.0) -> None:
-        self.sim_hmac_s = max(0.0, float(sim_hmac_s))
+    def __init__(self) -> None:
         self._stats_lock = threading.Lock()
-        self.batches_offloaded = 0
-        self.batches_serial = 0
-        self.serial_fallbacks = 0
+        self.batches = 0
         self.leaves_expanded = 0
         self.labels_derived = 0
-
-    # -- the five bulk primitives ------------------------------------------
-
-    def prf_many(self, key: bytes, messages) -> "list[bytes]":
-        """Bulk PRF: ``[prf(key, m) for m in messages]``, key shipped once."""
-        raise NotImplementedError
-
-    def prg_many(self, seeds) -> "list[bytes]":
-        """Bulk PRG: the 64-byte ``G0‖G1`` expansion of each seed."""
-        raise NotImplementedError
 
     def expand_subtrees(self, descriptors) -> "list[list[bytes]]":
         """Expand ``(seed, level)`` descriptors to per-descriptor leaf
         arrays (in-subtree left-to-right order, same as
         ``GgmDprf.iter_leaves``)."""
-        raise NotImplementedError
+        descriptors = [check_descriptor(d) for d in descriptors]
+        leaves = descriptor_leaves(descriptors)
+        with _span("kernel.batch", op="expand_subtrees", units=leaves):
+            blob = _serial_expand_blob(descriptors)
+        self._count(leaves=leaves)
+        return _slice_expand(blob, descriptors)
 
     def derive_leaf_subkeys(self, descriptors) -> "list[tuple]":
         """Expand descriptors straight to per-leaf ``(label_key,
         value_key)`` pairs — the exec engine's DPRF hot path, fusing
         the PRG walk with the leaf token derivation."""
-        raise NotImplementedError
+        descriptors = [check_descriptor(d) for d in descriptors]
+        leaves = descriptor_leaves(descriptors)
+        with _span("kernel.batch", op="derive_leaf_subkeys", units=2 * leaves):
+            blob = _serial_subkeys_blob(descriptors)
+        self._count(leaves=leaves)
+        return _slice_subkeys(blob, descriptors)
 
     def derive_labels(self, items) -> "list[bytes]":
         """Bulk Π_bas label derivation for ``(label_key, counter)``
         items — the coalesced counter walk's per-round batch."""
-        raise NotImplementedError
+        posting_label = _get_posting_label()
+        with _span("kernel.batch", op="derive_labels", units=len(items)):
+            out = [posting_label(key, counter) for key, counter in items]
+        self._count(labels=len(out))
+        return out
 
-    # -- accounting / simulation -------------------------------------------
-
-    def _traced(self, op: str, units: int):
-        """A ``kernel.batch`` span for one bulk call — a shared no-op
-        (one contextvar read) outside a traced request, so the
-        always-on instrumentation stays inside the overhead gate."""
-        return _span("kernel.batch", backend=self.name, op=op, units=units)
-
-    def _count(self, units: int, *, offloaded: bool, leaves: int = 0,
-               labels: int = 0, fallback: bool = False) -> None:
+    def _count(self, *, leaves: int = 0, labels: int = 0) -> None:
         with self._stats_lock:
-            if fallback:
-                self.serial_fallbacks += 1
-                self.batches_serial += 1
-            elif offloaded:
-                self.batches_offloaded += 1
-            else:
-                self.batches_serial += 1
+            self.batches += 1
             self.leaves_expanded += leaves
             self.labels_derived += labels
-        if self.sim_hmac_s and units:
-            self._sim_occupy(units, offloaded=offloaded and not fallback)
-
-    def _sim_occupy(self, units: int, *, offloaded: bool) -> None:
-        """Model the batch's service time (see module docstring)."""
-        with _SIM_GIL:
-            time.sleep(units * self.sim_hmac_s)
 
     def stats(self) -> dict:
-        """Counters snapshot for the stats frame / health rollup."""
+        """Counters snapshot for the server stats frame."""
         with self._stats_lock:
-            offloaded = self.batches_offloaded
-            serial = self.batches_serial
-            stats = {
-                "backend": self.name,
-                "workers": self.workers,
-                "batches_offloaded": offloaded,
-                "batches_serial": serial,
-                "serial_fallbacks": self.serial_fallbacks,
+            return {
+                "batches": self.batches,
                 "leaves_expanded": self.leaves_expanded,
                 "labels_derived": self.labels_derived,
             }
-        total = offloaded + serial
-        stats["offload_ratio"] = offloaded / total if total else 0.0
-        return stats
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; serial is a no-op)."""
-
-
-class SerialKernel(CryptoKernel):
-    """The zero-overhead default: inline one-shot ``hmac.digest`` loops.
-
-    Exactly the code the engine inlined before the kernel seam existed
-    — no pool, no pickling, no thresholds — so configuring zero
-    workers costs nothing over the pre-refactor paths (the ≤1.05×
-    bench gate pins this).
-    """
-
-    name = "serial"
-    workers = 0
-
-    def prf_many(self, key: bytes, messages) -> "list[bytes]":
-        messages = list(messages)
-        blob = _serial_prf_blob(_prf.check_key(key), messages)
-        self._count(len(messages), offloaded=False)
-        n = _prf.PRF_OUT_LEN
-        return [blob[o : o + n] for o in range(0, len(blob), n)]
-
-    def prg_many(self, seeds) -> "list[bytes]":
-        seeds = list(seeds)
-        blob = _serial_prg_blob(seeds)
-        self._count(len(seeds), offloaded=False)
-        return [blob[o : o + 64] for o in range(0, len(blob), 64)]
-
-    def expand_subtrees(self, descriptors) -> "list[list[bytes]]":
-        descriptors = [check_descriptor(d) for d in descriptors]
-        leaves = descriptor_leaves(descriptors)
-        with self._traced("expand_subtrees", leaves):
-            blob = _serial_expand_blob(descriptors)
-        self._count(leaves, offloaded=False, leaves=leaves)
-        return _slice_expand(blob, descriptors)
-
-    def derive_leaf_subkeys(self, descriptors) -> "list[tuple]":
-        descriptors = [check_descriptor(d) for d in descriptors]
-        leaves = descriptor_leaves(descriptors)
-        with self._traced("derive_leaf_subkeys", 2 * leaves):
-            blob = _serial_subkeys_blob(descriptors)
-        self._count(2 * leaves, offloaded=False, leaves=leaves)
-        return _slice_subkeys(blob, descriptors)
-
-    def derive_labels(self, items) -> "list[bytes]":
-        # Straight to the output list — the blob round-trip exists for
-        # process shuttling, and paying join+reslice here would be pure
-        # overhead on the default path the ≤1.05× bench gate protects.
-        posting_label = _get_posting_label()
-        with self._traced("derive_labels", len(items)):
-            out = [posting_label(key, counter) for key, counter in items]
-        self._count(len(out), offloaded=False, labels=len(out))
-        return out
-
-
-class PooledKernel(CryptoKernel):
-    """Process-pool worker lane for bulk batches, serial below crossover.
-
-    Parameters
-    ----------
-    workers:
-        Worker-process count (>= 1).
-    offload_min_units:
-        Crossover threshold in HMAC-equivalents (one PRG application,
-        one subkey derivation and one label each count 1); batches
-        below it run serially inline.  ``REPRO_CRYPTO_CROSSOVER``
-        overrides the default.
-    sim_hmac_s:
-        Bench-only simulated service time per HMAC (see module
-        docstring); computation happens inline, worker lanes are
-        modeled by a semaphore.
-    """
-
-    name = "pooled"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        offload_min_units: "int | None" = None,
-        sim_hmac_s: float = 0.0,
-    ) -> None:
-        super().__init__(sim_hmac_s=sim_hmac_s)
-        self.workers = max(1, int(workers))
-        if offload_min_units is None:
-            offload_min_units = _env_int(
-                ENV_CRYPTO_CROSSOVER, DEFAULT_OFFLOAD_MIN_UNITS
-            )
-        self.offload_min_units = max(1, int(offload_min_units))
-        self._pool: "ProcessPoolExecutor | None" = None
-        self._pool_lock = threading.Lock()
-        # Worker lanes for the capacity simulation: an offloaded batch
-        # occupies one of `workers` lanes for its simulated service
-        # time instead of the process-global serial lock.
-        self._sim_lanes = threading.BoundedSemaphore(self.workers)
-
-    # -- pool lifecycle ----------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                import multiprocessing
-
-                # "spawn", never fork: the parent runs thread pools and
-                # asyncio servers, and forking a threaded process leaves
-                # the child's locks in undefined states.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                )
-            return self._pool
-
-    def _discard_pool(self) -> None:
-        """Tear down a broken pool; the next offload lazily rebuilds."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def worker_pids(self) -> "list[int]":
-        """Live worker PIDs (crash-drill hook; spins the pool up)."""
-        pool = self._ensure_pool()
-        # Submitting a no-op forces worker creation under spawn.
-        pool.submit(_job_ping).result()
-        return [p.pid for p in pool._processes.values()]
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    # -- offload plumbing --------------------------------------------------
-
-    def _sim_occupy(self, units: int, *, offloaded: bool) -> None:
-        if offloaded:
-            with self._sim_lanes:
-                time.sleep(units * self.sim_hmac_s)
-        else:
-            with _SIM_GIL:
-                time.sleep(units * self.sim_hmac_s)
-
-    def _offload_blobs(self, job, chunks) -> "bytes | None":
-        """Run ``job(chunk)`` across the pool; ``None`` means the worker
-        lane died (caller recomputes serially)."""
-        if self.sim_hmac_s:
-            # Simulation: compute inline (results must stay real and
-            # byte-identical); only the service time takes the lane.
-            return b"".join(job(chunk) for chunk in chunks)
-        try:
-            pool = self._ensure_pool()
-            futures = [pool.submit(job, chunk) for chunk in chunks]
-            return b"".join(f.result() for f in futures)
-        except _POOL_FAILURES:
-            self._discard_pool()
-            return None
-
-    def _run(self, units, serial_fn, job, chunks, finish, *, leaves=0, labels=0):
-        """One batch through the crossover/offload/fallback state machine."""
-        if units < self.offload_min_units:
-            result = serial_fn()
-            self._count(units, offloaded=False, leaves=leaves, labels=labels)
-            return finish(result)
-        blob = self._offload_blobs(job, chunks)
-        if blob is None:
-            result = serial_fn()
-            self._count(
-                units, offloaded=False, leaves=leaves, labels=labels,
-                fallback=True,
-            )
-            return finish(result)
-        self._count(units, offloaded=True, leaves=leaves, labels=labels)
-        return finish(blob)
-
-    # -- the five primitives ----------------------------------------------
-
-    def prf_many(self, key: bytes, messages) -> "list[bytes]":
-        key = _prf.check_key(key)
-        messages = [bytes(m) for m in messages]
-        n = _prf.PRF_OUT_LEN
-        return self._run(
-            len(messages),
-            lambda: _serial_prf_blob(key, messages),
-            _job_prf_blob,
-            [
-                (key, chunk)
-                for chunk in _chunk_by_weight(
-                    messages, [1] * len(messages), self.workers
-                )
-            ],
-            lambda blob: [blob[o : o + n] for o in range(0, len(blob), n)],
-        )
-
-    def prg_many(self, seeds) -> "list[bytes]":
-        seeds = [bytes(s) for s in seeds]
-        return self._run(
-            len(seeds),
-            lambda: _serial_prg_blob(seeds),
-            _job_prg_blob,
-            _chunk_by_weight(seeds, [1] * len(seeds), self.workers),
-            lambda blob: [blob[o : o + 64] for o in range(0, len(blob), 64)],
-        )
-
-    def expand_subtrees(self, descriptors) -> "list[list[bytes]]":
-        descriptors = [check_descriptor(d) for d in descriptors]
-        weights = [1 << level for _, level in descriptors]
-        leaves = sum(weights)
-        with self._traced("expand_subtrees", leaves):
-            return self._run(
-                leaves,
-                lambda: _serial_expand_blob(descriptors),
-                _job_expand_blob,
-                _chunk_by_weight(descriptors, weights, self.workers),
-                lambda blob: _slice_expand(blob, descriptors),
-                leaves=leaves,
-            )
-
-    def derive_leaf_subkeys(self, descriptors) -> "list[tuple]":
-        descriptors = [check_descriptor(d) for d in descriptors]
-        weights = [1 << level for _, level in descriptors]
-        leaves = sum(weights)
-        with self._traced("derive_leaf_subkeys", 2 * leaves):
-            return self._run(
-                2 * leaves,
-                lambda: _serial_subkeys_blob(descriptors),
-                _job_subkeys_blob,
-                _chunk_by_weight(descriptors, weights, self.workers),
-                lambda blob: _slice_subkeys(blob, descriptors),
-                leaves=leaves,
-            )
-
-    def derive_labels(self, items) -> "list[bytes]":
-        items = [(bytes(key), int(counter)) for key, counter in items]
-        if not items:
-            return []
-
-        def finish(blob: bytes) -> "list[bytes]":
-            step = len(blob) // len(items)
-            return [blob[o : o + step] for o in range(0, len(blob), step)]
-
-        with self._traced("derive_labels", len(items)):
-            return self._run(
-                len(items),
-                lambda: _serial_labels_blob(items),
-                _job_labels_blob,
-                _chunk_by_weight(items, [1] * len(items), self.workers),
-                finish,
-                labels=len(items),
-            )
-
-
-# ---------------------------------------------------------------------------
-# Worker jobs (top-level: must pickle under the spawn context)
-# ---------------------------------------------------------------------------
-
-
-def _job_ping() -> bool:
-    return True
-
-
-def _job_expand_blob(descriptors) -> bytes:
-    return _serial_expand_blob(descriptors)
-
-
-def _job_subkeys_blob(descriptors) -> bytes:
-    return _serial_subkeys_blob(descriptors)
-
-
-def _job_labels_blob(items) -> bytes:
-    return _serial_labels_blob(items)
-
-
-def _job_prf_blob(key_and_messages) -> bytes:
-    key, messages = key_and_messages
-    return _serial_prf_blob(key, messages)
-
-
-def _job_prg_blob(seeds) -> bytes:
-    return _serial_prg_blob(seeds)
-
-
-# ---------------------------------------------------------------------------
-# Crossover fitting (the dispatch calibrator's offload probe)
-# ---------------------------------------------------------------------------
-
-
-def fit_offload_crossover(
-    kernel: CryptoKernel,
-    *,
-    levels: "tuple[int, ...]" = (8, 10, 12),
-    repeats: int = 2,
-) -> "tuple[float, float]":
-    """Measure where offloading beats the serial loop on this machine.
-
-    Returns ``(crossover_units, offload_speedup)``: the smallest probed
-    batch size (in HMAC-equivalents) at which the pooled lane is at
-    least as fast as the serial loop, and the serial/pooled time ratio
-    observed there.  ``(inf, 1.0)`` for serial kernels, simulated
-    kernels (their timing is synthetic) and machines where no probed
-    size ever wins — offload then simply never pays.
-    """
-    import time as _time
-
-    if kernel.workers < 1 or getattr(kernel, "sim_hmac_s", 0.0):
-        return float("inf"), 1.0
-
-    def best_of(fn) -> float:
-        samples = []
-        for _ in range(max(1, repeats)):
-            t0 = _time.perf_counter()
-            fn()
-            samples.append(_time.perf_counter() - t0)
-        return min(samples)
-
-    serial = SerialKernel()
-    saved = kernel.offload_min_units
-    kernel.offload_min_units = 1  # force every probe batch onto the pool
-    try:
-        for level in levels:
-            descriptors = [(bytes([level]) * _prg.SEED_LEN, level)]
-            pooled_s = best_of(lambda: kernel.derive_leaf_subkeys(descriptors))
-            serial_s = best_of(lambda: serial.derive_leaf_subkeys(descriptors))
-            if pooled_s <= serial_s:
-                return float(2 * (1 << level)), serial_s / max(pooled_s, 1e-9)
-    finally:
-        kernel.offload_min_units = saved
-    return float("inf"), 1.0
-
-
-# ---------------------------------------------------------------------------
-# The process-wide default kernel
-# ---------------------------------------------------------------------------
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_sim_hmac_s() -> float:
-    raw = os.environ.get(ENV_CRYPTO_SIM, "").strip()
-    if not raw:
-        return 0.0
-    try:
-        return max(0.0, float(raw)) * 1e-6
-    except ValueError:
-        raise ValueError(
-            f"{ENV_CRYPTO_SIM} must be a number (µs), got {raw!r}"
-        ) from None
-
-
-def make_kernel(workers: "int | None" = None) -> CryptoKernel:
-    """Build a kernel: ``workers`` (``None`` → ``REPRO_CRYPTO_WORKERS``,
-    default ``0``) picks serial (``<= 0``) or pooled."""
-    if workers is None:
-        workers = _env_int(ENV_CRYPTO_WORKERS, 0)
-    sim = _env_sim_hmac_s()
-    if workers <= 0:
-        return SerialKernel(sim_hmac_s=sim)
-    return PooledKernel(workers, sim_hmac_s=sim)
 
 
 _default_lock = threading.Lock()
-_default: "CryptoKernel | None" = None
+_default: "SerialKernel | None" = None
 
 
-def default_kernel() -> CryptoKernel:
+def default_kernel() -> SerialKernel:
     """The shared kernel used by every executor not given a private one."""
     global _default
     with _default_lock:
         if _default is None:
-            _default = make_kernel()
+            _default = SerialKernel()
         return _default
 
 
-def configure_default_kernel(workers: "int | None" = None) -> CryptoKernel:
-    """Replace the default kernel (CLI ``--crypto-workers``).
-
-    Executors constructed earlier keep their kernel; only future
-    ``default_kernel()`` lookups see the new one.  The old kernel's
-    pool is shut down.
-    """
-    global _default
-    with _default_lock:
-        old, _default = _default, make_kernel(workers)
-    if old is not None:
-        old.close()
-    return _default
-
-
 __all__ = [
-    "CryptoKernel",
-    "DEFAULT_OFFLOAD_MIN_UNITS",
-    "ENV_CRYPTO_CROSSOVER",
-    "ENV_CRYPTO_SIM",
-    "ENV_CRYPTO_WORKERS",
-    "PooledKernel",
     "SerialKernel",
     "check_descriptor",
-    "configure_default_kernel",
     "default_kernel",
     "descriptor_leaves",
-    "fit_offload_crossover",
-    "make_kernel",
 ]

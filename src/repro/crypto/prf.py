@@ -76,9 +76,7 @@ def prf_many(key: bytes, messages) -> "list[bytes]":
     The array-in/array-out counterpart of :func:`prf`: the key is
     validated once and each evaluation takes the same one-shot
     ``hmac.digest`` path, so output is byte-identical to mapping
-    :func:`prf`.  The batch shape is what lets
-    :class:`~repro.crypto.kernel.PooledKernel` ship the key to a worker
-    once per chunk instead of once per message.
+    :func:`prf`.
     """
     check_key(key)
     return [hmac.digest(key, message, hashlib.sha512) for message in messages]

@@ -16,9 +16,10 @@ The fallback keeps the library runnable on a bare CPython, and the two
 backends are byte-compatible in *shape* (nonce ‖ ciphertext ‖ tag), so
 index-size measurements do not depend on which backend is active.
 
-Substitution note (DESIGN.md §5): CBC vs CTR is irrelevant to every
-experiment in the paper — both are per-byte symmetric encryption and all
-schemes share the same cipher, so relative comparisons are preserved.
+Substitution note (README § "Reproducing the paper's evaluation"): CBC
+vs CTR is irrelevant to every experiment in the paper — both are
+per-byte symmetric encryption and all schemes share the same cipher, so
+relative comparisons are preserved.
 """
 
 from __future__ import annotations

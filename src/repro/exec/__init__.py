@@ -11,9 +11,8 @@ one :class:`~repro.exec.engine.QueryExecutor`, which
   every active walker's label probes into shared ``get_many`` rounds
   (:mod:`repro.exec.engine`),
 - routes every batched crypto call — GGM subtree expansion, Π_bas
-  label derivation — through a pluggable
-  :class:`~repro.crypto.kernel.CryptoKernel` whose pooled backend
-  escapes the GIL on a process-pool lane,
+  label derivation — through one batch
+  :class:`~repro.crypto.kernel.SerialKernel`,
 - memoizes GGM subtree expansions in a bounded LRU with explicit
   invalidation hooks (:mod:`repro.exec.cache`), and
 - selects the cheapest scheme per query shape through a calibrated
@@ -21,8 +20,7 @@ one :class:`~repro.exec.engine.QueryExecutor`, which
   — what :class:`~repro.rangestore.HybridRangeStore` routes with).
 
 Knobs: ``REPRO_EXEC_WORKERS`` (thread count; ``1`` forces the serial
-path), ``REPRO_EXEC_CACHE`` (``0`` disables the expansion cache) and
-``REPRO_CRYPTO_WORKERS`` (``0`` forces the serial crypto kernel)
+path) and ``REPRO_EXEC_CACHE`` (``0`` disables the expansion cache)
 configure the process-wide default engine; pass ``executor=`` to any
 scheme, ``EncryptedDatabase`` or ``RsseServer`` for a private one.
 """

@@ -10,8 +10,7 @@ hit skips both the PRG walk and the per-leaf token derivation.
 
 Keys are opaque hashables; the exec engine keys at ``(seed, level)``
 *descriptor* granularity — the crypto kernel's batch currency — so a
-cached subtree is filtered out of the batch before it would ever
-re-ship to a pooled kernel's worker processes.
+cached subtree is filtered out of the batch before the kernel sees it.
 
 Bounding is by total cached *leaves*, not entries: one level-12 token
 holds 4096 derived tokens and would otherwise evict thousands of cheap

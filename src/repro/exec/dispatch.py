@@ -135,15 +135,6 @@ class CostModel:
     fetch_seconds: float = 8e-6
     #: One extra owner<->server protocol round (interactive schemes).
     rtt_seconds: float = 50e-6
-    #: Batch size (HMAC-equivalents: ~2 per expanded leaf) above which
-    #: the configured crypto kernel offloads expansion to its worker
-    #: lane.  ``inf`` — the serial-kernel truth — means "never".
-    offload_crossover: float = float("inf")
-    #: Per-PRG / per-leaf-derivation rates *on the offload lane* —
-    #: amortized process round-trip included.  ``0.0`` means unfitted
-    #: (serial rates apply regardless of batch size).
-    expand_offload_seconds: float = 0.0
-    derive_offload_seconds: float = 0.0
     #: True once the weights came from a measured probe run.
     calibrated: bool = False
 
@@ -155,26 +146,12 @@ class CostModel:
         expected_fps: float = 0.0,
         rounds: int = 1,
     ) -> float:
-        """Scalar cost (seconds) of one plan under these weights.
-
-        A plan whose expansion batch clears the kernel's fitted
-        offload crossover is priced at the offload-lane rates: without
-        this, a calibrated model overprices exactly the big delegated
-        covers the pooled kernel accelerates, and the dispatcher would
-        keep dodging the scheme whose ceiling the kernel just lifted.
-        """
-        expand_rate = self.expand_seconds
-        derive_rate = self.derive_seconds
-        if 2 * plan.est_leaves >= self.offload_crossover:
-            if self.expand_offload_seconds > 0.0:
-                expand_rate = self.expand_offload_seconds
-            if self.derive_offload_seconds > 0.0:
-                derive_rate = self.derive_offload_seconds
+        """Scalar cost (seconds) of one plan under these weights."""
         cost = 0.0
         for stage in plan.stages:
             if stage.kind == STAGE_EXPAND:
-                cost += stage.est_cost * expand_rate
-        cost += plan.est_leaves * derive_rate
+                cost += stage.est_cost * self.expand_seconds
+        cost += plan.est_leaves * self.derive_seconds
         cost += plan.est_leaves * self.probe_seconds
         cost += plan.est_probe_rounds * self.round_seconds
         cost += (expected_matches + expected_fps) * self.fetch_seconds
@@ -197,8 +174,7 @@ def calibrate_cost_model(
 
     CPU weights (PRG expansion, walker derivation, candidate
     decryption) are timed *through the configured crypto kernel* — the
-    code path queries actually take — so a pooled deployment no longer
-    prices expansion off the retired inline ``iter_leaves`` loop.
+    code path queries actually take.
     Storage weights come from probing ``backend`` with one-label and
     ``probe_labels``-label ``get_many`` rounds against a scratch
     namespace — misses, so the run leaves no state and costs one
@@ -206,14 +182,9 @@ def calibrate_cost_model(
     keeps the minimum (the ``timeit`` rule: the least-perturbed run is
     the honest unit cost).  In-memory timings are used when ``backend``
     is ``None``; the process-wide default kernel when ``kernel`` is.
-
-    On a pooled kernel the fit additionally probes where offload beats
-    the serial loop (:func:`~repro.crypto.kernel.fit_offload_crossover`)
-    and records the crossover plus the offload-lane rates; on a serial
-    kernel the crossover is ``inf`` and offload rates stay unfitted.
     """
     from repro.crypto.dprf import DelegationToken
-    from repro.crypto.kernel import default_kernel, fit_offload_crossover
+    from repro.crypto.kernel import default_kernel
     from repro.crypto.symmetric import SemanticCipher
     from repro.sse.pibas import posting_label
     from repro.storage.backend import InMemoryBackend
@@ -247,8 +218,6 @@ def calibrate_cost_model(
         max(0.0, subkey_batch_s - expand_s * (leaves - 1)) / leaves + label_s
     )
 
-    crossover, offload_speedup = fit_offload_crossover(kernel, repeats=repeats)
-
     # Candidate refinement: one authenticated decryption of a small blob.
     cipher = SemanticCipher(b"\x2a" * 32)
     blobs = [cipher.encrypt(b"calibration-plaintext-16")] * 64
@@ -276,16 +245,6 @@ def calibrate_cost_model(
         round_seconds=max(round_s, 1e-9),
         fetch_seconds=max(fetch_s + probe_s, 1e-9),
         rtt_seconds=max(2 * round_s, 1e-9),
-        offload_crossover=crossover,
-        # Offload-lane rates: the serial rates scaled by the measured
-        # pooled speedup at the crossover batch size (1.0 when offload
-        # never wins, leaving them unfitted).
-        expand_offload_seconds=(
-            max(expand_s, 1e-9) / offload_speedup if offload_speedup > 1.0 else 0.0
-        ),
-        derive_offload_seconds=(
-            max(derive_s, 1e-9) / offload_speedup if offload_speedup > 1.0 else 0.0
-        ),
         calibrated=True,
     )
 

@@ -24,24 +24,20 @@ backend from a pool thread.
 **A GGM expansion cache.**  Delegation-token expansions memoize through
 a shared :class:`~repro.exec.cache.ExpansionCache` (see its module
 docstring for the safety argument), keyed at ``(seed, level)``
-descriptor granularity so cached subtrees never re-ship to kernel
-workers.
+descriptor granularity, the kernel's batch currency.
 
 **Batched crypto through the kernel.**  All GGM subtree expansion and
 Π_bas label derivation route through a
-:class:`~repro.crypto.kernel.CryptoKernel` — one batch call per
+:class:`~repro.crypto.kernel.SerialKernel` — one batch call per
 expansion wave / probe round, never a per-leaf ``hmac.digest`` loop in
-the engine itself.  The default :class:`~repro.crypto.kernel.SerialKernel`
-reproduces the old inline loops byte-for-byte; a
-:class:`~repro.crypto.kernel.PooledKernel` (``REPRO_CRYPTO_WORKERS``)
-offloads batches above its crossover to a process-pool lane, which is
-what finally moves the GIL-bound crypto ceiling with worker count.
+the engine itself.  The kernel reproduces the old inline loops
+byte-for-byte.
 
 Configuration: ``QueryExecutor(workers=…, cache=…, kernel=…)`` per
 instance; the process-wide default engine reads
-``REPRO_EXEC_WORKERS``, ``REPRO_EXEC_CACHE`` (``0`` disables caching)
-and ``REPRO_CRYPTO_WORKERS`` and is shared by every scheme/server
-constructed without an explicit ``executor=``.
+``REPRO_EXEC_WORKERS`` and ``REPRO_EXEC_CACHE`` (``0`` disables
+caching) and is shared by every scheme/server constructed without an
+explicit ``executor=``.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.crypto.kernel import CryptoKernel, default_kernel
+from repro.crypto.kernel import SerialKernel, default_kernel
 from repro.errors import IndexStateError
 from repro.exec.cache import ExpansionCache
 from repro.obs.tracing import span
@@ -121,7 +117,7 @@ class QueryExecutor:
         An :class:`ExpansionCache`, ``None`` for a private default-sized
         one, or ``False`` to disable expansion caching entirely.
     kernel:
-        The :class:`~repro.crypto.kernel.CryptoKernel` every batched
+        The :class:`~repro.crypto.kernel.SerialKernel` every batched
         crypto call (GGM expansion, label derivation) goes through.
         The process-wide default kernel when omitted.  The executor
         never closes it — kernels are shared across executors exactly
@@ -133,7 +129,7 @@ class QueryExecutor:
         *,
         workers: "int | None" = None,
         cache: "ExpansionCache | bool | None" = None,
-        kernel: "CryptoKernel | None" = None,
+        kernel: "SerialKernel | None" = None,
     ) -> None:
         self.workers = max(1, int(workers) if workers is not None else _default_workers())
         self.kernel = kernel if kernel is not None else default_kernel()
@@ -312,10 +308,7 @@ class QueryExecutor:
         while state:
             # Each round's labels ride ONE kernel batch — never the
             # thread pool: a label is one ~2µs GIL-holding HMAC, so
-            # per-task dispatch overhead would dwarf the work.  The
-            # kernel runs the batch inline when serial (or below its
-            # crossover) and ships it to the process lane when a big
-            # round makes offload pay.
+            # per-task dispatch overhead would dwarf the work.
             items: "list[tuple[bytes, int]]" = []
             for walker, counter, chunk in state:
                 label_key = pairs[walker][0]
@@ -358,10 +351,9 @@ class QueryExecutor:
         """Per-token leaf subkey pairs, cache-aware and kernel-batched.
 
         Every cache miss across the whole token wave rides ONE
-        ``derive_leaf_subkeys`` batch — the shape the pooled kernel can
-        chunk across worker processes.  The cache keys on the plain
+        ``derive_leaf_subkeys`` batch.  The cache keys on the plain
         ``(seed, level)`` descriptor (not the token object), matching
-        the kernel currency, so a hit never re-ships a subtree.  Leaf
+        the kernel currency, so a hit never re-expands a subtree.  Leaf
         pairs are raw ``(label_key, value_key)`` tuples, byte-identical
         to the retired per-leaf ``subkeys_from_secret`` loop.
         """
@@ -446,24 +438,15 @@ def configure_default_executor(
     *,
     workers: "int | None" = None,
     cache: "ExpansionCache | bool | None" = None,
-    crypto_workers: "int | None" = None,
 ) -> QueryExecutor:
-    """Replace the default engine (CLI ``--workers``/``--no-cache``/
-    ``--crypto-workers``).
+    """Replace the default engine (CLI ``--workers``/``--no-cache``).
 
     Existing schemes keep whatever executor they were constructed with;
     only *future* lookups of the default see the new one.  When
     ``cache`` is unspecified the ``REPRO_EXEC_CACHE`` knob still
     applies — reconfiguring workers must not silently re-enable a cache
-    the environment disabled.  ``crypto_workers`` reconfigures the
-    process-wide default crypto kernel first (``0`` forces the serial
-    kernel), so the new engine — and anything else resolving the
-    default kernel later — picks it up.
+    the environment disabled.
     """
-    if crypto_workers is not None:
-        from repro.crypto.kernel import configure_default_kernel
-
-        configure_default_kernel(crypto_workers)
     if cache is None and _env_cache_disabled():
         cache = False
     global _default

@@ -54,27 +54,6 @@ _EXPERIMENTS = (
 )
 
 
-def _add_crypto_workers_arg(parser: argparse.ArgumentParser) -> None:
-    """The ``--crypto-workers`` knob, shared by every subcommand."""
-    parser.add_argument(
-        "--crypto-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="crypto-kernel worker processes for bulk PRF/GGM batches "
-        "(0 forces the serial kernel; default: REPRO_CRYPTO_WORKERS "
-        "or serial)",
-    )
-
-
-def _apply_crypto_workers(crypto_workers: "int | None") -> None:
-    """Reconfigure the default kernel before any engine resolves it."""
-    if crypto_workers is not None:
-        from repro.crypto.kernel import configure_default_kernel
-
-        configure_default_kernel(crypto_workers)
-
-
 def _write_csv(csv_dir: "pathlib.Path | None", name: str, text: str) -> None:
     if csv_dir is None:
         return
@@ -285,13 +264,9 @@ def _serve_main(argv: "list[str]") -> int:
         help="append structured lifecycle events to this JSONL file "
         "(default: REPRO_EVENT_LOG or in-memory only)",
     )
-    _add_crypto_workers_arg(parser)
     args = parser.parse_args(argv)
     if bool(args.tls_cert) != bool(args.tls_key):
         parser.error("--tls-cert and --tls-key must be given together")
-    # Before RsseServer construction: that is when the default engine —
-    # and with it the default crypto kernel — gets resolved.
-    _apply_crypto_workers(args.crypto_workers)
     ssl_context = None
     if args.tls_cert:
         import ssl as ssl_module
@@ -396,9 +371,7 @@ def _connect_main(argv: "list[str]") -> int:
     parser.add_argument("--queries", type=int, default=20)
     parser.add_argument("--pool", type=int, default=2, metavar="N")
     parser.add_argument("--seed", type=int, default=7)
-    _add_crypto_workers_arg(parser)
     args = parser.parse_args(argv)
-    _apply_crypto_workers(args.crypto_workers)
 
     rng = random.Random(args.seed)
     records = [(i, rng.randrange(args.domain)) for i in range(args.records)]
@@ -492,9 +465,7 @@ def _ingest_main(argv: "list[str]") -> int:
                         help="churn ops total (half inserts, half deletes)")
     parser.add_argument("--delete-frac", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=7)
-    _add_crypto_workers_arg(parser)
     args = parser.parse_args(argv)
-    _apply_crypto_workers(args.crypto_workers)
 
     server = None
     if args.host is None:
@@ -641,11 +612,9 @@ def _cluster_main(argv: "list[str]") -> int:
         action="store_true",
         help="also kill shard 0 and walk the snapshot-bootstrap recovery",
     )
-    _add_crypto_workers_arg(parser)
     args = parser.parse_args(argv)
     if args.shards < 1:
         parser.error("--shards must be >= 1")
-    _apply_crypto_workers(args.crypto_workers)
 
     rng = random.Random(args.seed)
     records = [(i, rng.randrange(args.domain)) for i in range(args.records)]
@@ -854,11 +823,10 @@ def _top_main(argv: "list[str]") -> int:
     parser = argparse.ArgumentParser(
         prog="rsse-experiments top",
         description="Poll shard stats and render a refreshing per-shard "
-        "table (QPS, p50/p99 latency, inflight depth, cache hit rate, "
-        "kernel backend) with SLO states underneath.  With no --addr "
-        "it self-hosts a seeded demo cluster and drives a background "
-        "query load so the numbers move; with --addr it polls running "
-        "servers.",
+        "table (QPS, p50/p99 latency, inflight depth, cache hit rate) "
+        "with SLO states underneath.  With no --addr it self-hosts a "
+        "seeded demo cluster and drives a background query load so the "
+        "numbers move; with --addr it polls running servers.",
     )
     parser.add_argument(
         "--addr",
@@ -1268,15 +1236,13 @@ def main(argv: "list[str] | None" = None) -> int:
         help="for the 'dispatch' experiment: 'auto' (cost-based, the "
         "default) or a scheme name pinning every query to that lane",
     )
-    _add_crypto_workers_arg(parser)
     args = parser.parse_args(argv)
-    if args.workers is not None or args.no_cache or args.crypto_workers is not None:
+    if args.workers is not None or args.no_cache:
         from repro.exec import configure_default_executor
 
         configure_default_executor(
             workers=args.workers,
             cache=False if args.no_cache else None,
-            crypto_workers=args.crypto_workers,
         )
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in names:

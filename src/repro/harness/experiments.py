@@ -1,8 +1,9 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
 Each ``figN``/``tableN`` function reproduces the corresponding artifact
-of Section 8 / Appendix A at laptop scale (scale factors documented in
-DESIGN.md §3 and recorded in EXPERIMENTS.md).  They return
+of Section 8 / Appendix A at laptop scale (the scale factors are the
+module constants below; README § "Reproducing the paper's evaluation"
+gives the rationale).  They return
 :class:`~repro.harness.metrics.Series` objects; the CLI renders them as
 the same rows/series the paper plots.
 
@@ -314,7 +315,7 @@ def table1(
 
 
 # ---------------------------------------------------------------------------
-# Ablations (ours; DESIGN.md E-A1..E-A3)
+# Ablations (ours; README § "Reproducing the paper's evaluation", E-A1..E-A3)
 # ---------------------------------------------------------------------------
 
 

@@ -203,10 +203,6 @@ class RsseNetServer:
     max_inflight:
         Admission bound: frames being processed at once, across all
         connections.
-    response_delay_s:
-        Artificial delay added to every response — a benchmarking/test
-        knob simulating network RTT so latency-hiding behaviour is
-        measurable on loopback.  ``0.0`` (the default) for real use.
     drain_timeout_s:
         How long :meth:`stop` waits for in-flight work before closing
         connections anyway.
@@ -219,18 +215,6 @@ class RsseNetServer:
         Operator label naming this server's slice of a cluster (e.g.
         ``"2/4"``).  Purely observability: it rides the stats frame so
         a router's health view can title each node.
-    sim_core_floor_s / sim_core_per_kb_s:
-        The *simulated single-core service-time model* — a bench knob
-        (``0.0``/``0.0``, i.e. off, for real use).  When set, every
-        response additionally holds a server-wide lock for
-        ``floor + per_kb × len(response)/1024`` seconds, modelling a
-        one-core box whose CPU cost is proportional to the bytes it
-        serves.  The lock is what makes it a *capacity* model rather
-        than added latency: requests on one server serialize through
-        it (one core!), while N shard servers own N independent locks
-        — so cluster scaling is measurable on a single-core CI
-        machine, the same way ``response_delay_s`` makes RTT hiding
-        measurable on loopback.
     """
 
     def __init__(
@@ -241,25 +225,18 @@ class RsseNetServer:
         port: int = 0,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         max_inflight: int = 64,
-        response_delay_s: float = 0.0,
         drain_timeout_s: float = 10.0,
         ssl=None,
         shard: str = "",
-        sim_core_floor_s: float = 0.0,
-        sim_core_per_kb_s: float = 0.0,
     ) -> None:
         self.core = core if core is not None else RsseServer()
         self._host = host
         self._requested_port = port
         self.max_frame_bytes = max_frame_bytes
         self.max_inflight = max(1, int(max_inflight))
-        self.response_delay_s = response_delay_s
         self.drain_timeout_s = drain_timeout_s
         self._ssl = ssl
         self.shard = shard
-        self.sim_core_floor_s = sim_core_floor_s
-        self.sim_core_per_kb_s = sim_core_per_kb_s
-        self._sim_core_lock: "asyncio.Lock | None" = None
         self.stats = ServerStats()
         # Point the core's updates.* instruments at this server's
         # private registry, so the ingest counters ride the same stats
@@ -287,7 +264,6 @@ class RsseNetServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._semaphore = asyncio.Semaphore(self.max_inflight)
-        self._sim_core_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._on_connection, self._host, self._requested_port, ssl=self._ssl
         )
@@ -540,16 +516,6 @@ class RsseNetServer:
             self.stats.registry.counter("net.errors").inc()
         self.stats.registry.counter("net.frames").inc()
         self.stats.record_op(op, time.perf_counter() - t0)
-        if self.sim_core_per_kb_s > 0 or self.sim_core_floor_s > 0:
-            # The simulated-core model: hold THIS server's one "core"
-            # for a service time proportional to the bytes served.
-            cost = self.sim_core_floor_s + self.sim_core_per_kb_s * (
-                len(response) / 1024.0
-            )
-            async with self._sim_core_lock:
-                await asyncio.sleep(cost)
-        if self.response_delay_s > 0:
-            await asyncio.sleep(self.response_delay_s)
         return response
 
     async def _offload(self, frame: bytes) -> bytes:

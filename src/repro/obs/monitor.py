@@ -111,7 +111,6 @@ class ClusterMonitor:
 
         search = ops.get("multi-search") or ops.get("search") or {}
         cache = server.get("exec_cache") or {}
-        kernel = server.get("crypto_kernel") or {}
         inflight = net.get("inflight_by_index", {})
         metrics = stats.get("metrics") or {}
         counters = metrics.get("counters") or {}
@@ -128,7 +127,6 @@ class ClusterMonitor:
                 if isinstance(entry, dict)
             ),
             "cache_hit_rate": cache.get("hit_rate"),
-            "kernel": kernel.get("backend", "?"),
             "errors": int(net.get("errors", 0)) + int(net.get("framing_errors", 0)),
             "stored_bytes": int(server.get("stored_bytes", 0)),
             # Live-ingest visibility (PR 9 managed stores): the
@@ -228,7 +226,7 @@ def render_top(sample: dict, alerts: "dict | None" = None) -> str:
     lines = [
         f"{'shard':>6}  {'address':<21} {'state':<5} {'qps':>8} "
         f"{'p50ms':>8} {'p99ms':>8} {'infl':>5} {'cache':>7} "
-        f"{'kernel':<7} {'errs':>5}"
+        f"{'errs':>5}"
     ]
     for row in sample["shards"]:
         if not row.get("reachable"):
@@ -244,7 +242,6 @@ def render_top(sample: dict, alerts: "dict | None" = None) -> str:
             f"{fit_num(row['p99_ms'], 8, 2)} "
             f"{fit_num(row['inflight'], 5, 0)} "
             f"{fit_cell(_fmt_rate(row.get('cache_hit_rate')), 7, '>')} "
-            f"{fit_cell(row.get('kernel', '?'), 7)} "
             f"{fit_num(row['errors'], 5, 0)}"
         )
     lines.append(

@@ -15,7 +15,7 @@ surface:
   per histogram, no matter how many observations arrive.
 - **Collectors** — registered callables snapshotting the *existing*
   subsystem stats (exec-cache hits/misses/evictions, kernel
-  batches/offload ratio, ``dispatch_hints``) so the registry's
+  batch counts, ``dispatch_hints``) so the registry's
   snapshot is the one place an operator reads, without any
   double-bookkeeping in the hot paths that already count.
 

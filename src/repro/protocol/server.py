@@ -658,9 +658,6 @@ class RsseServer:
         kernel = getattr(self.executor, "kernel", None)
         if kernel is not None:
             # The crypto kernel behind every batched expansion/label
-            # derivation: backend, worker-lane width, offload ratio and
-            # serial fallbacks — whether the GIL-escape lane is alive
-            # and actually being used is a fleet capacity signal, so
-            # the cluster health rollup aggregates it per shard.
+            # derivation: batches, leaves expanded, labels derived.
             stats["crypto_kernel"] = kernel.stats()
         return stats

@@ -48,10 +48,13 @@ from repro.updates.batch import (
 
 _STORE_MAGIC = b"RSSESTORE1"
 _HYBRID_MAGIC = b"RSSEHYB1"
-#: Cost-model weights on the wire: six unit seconds, the kernel
-#: offload crossover + two offload-lane rates, and the calibrated
-#: flag.  ``inf`` (serial kernels: offload never pays) packs fine.
+#: Cost-model weights on the wire: six unit seconds, three retired
+#: slots, and the calibrated flag.  The retired slots once held a
+#: process-pool crypto lane's crossover and rates; ``save`` writes
+#: ``inf, 0.0, 0.0`` there and ``load`` discards them, so snapshots
+#: written before the lane was removed still load unchanged.
 _COST_MODEL_PACK = struct.Struct(">9dB")
+_RETIRED_SLOTS = (float("inf"), 0.0, 0.0)
 
 
 class RangeStore:
@@ -564,9 +567,7 @@ class HybridRangeStore:
             model.round_seconds,
             model.fetch_seconds,
             model.rtt_seconds,
-            model.offload_crossover,
-            model.expand_offload_seconds,
-            model.derive_offload_seconds,
+            *_RETIRED_SLOTS,
             1 if model.calibrated else 0,
         )
         histogram_blob = b"".join(
@@ -628,9 +629,6 @@ class HybridRangeStore:
             round_seconds=fields[3],
             fetch_seconds=fields[4],
             rtt_seconds=fields[5],
-            offload_crossover=fields[6],
-            expand_offload_seconds=fields[7],
-            derive_offload_seconds=fields[8],
             calibrated=bool(fields[9]),
         )
         histogram_blob = reader.chunk()

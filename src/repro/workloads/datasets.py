@@ -12,7 +12,8 @@ Neither raw dataset ships here (proprietary scraping / dead links), so
 :func:`gowalla_like` and :func:`usps_like` synthesize datasets with the
 same two controlling properties — domain size and distinct-value
 fraction (plus skew of the cluster masses) — which is what Figures 5–7
-and Table 2 exercise.  See DESIGN.md §5 for the substitution rationale.
+and Table 2 exercise.  See README § "Reproducing the paper's
+evaluation" for the substitution rationale.
 
 All generators take an explicit seed and return ``(id, value)`` lists
 with ids ``0 … n-1`` in shuffled value order.

@@ -122,6 +122,18 @@ class TestCostModelOrdering:
         two = model.estimate(plan, rounds=2)
         assert two == pytest.approx(one + model.rtt_seconds)
 
+    @pytest.mark.parametrize("lo,hi", [(10, 17), (40, 700), (0, DOMAIN - 1)])
+    def test_crypto_rates_apply_at_every_batch_size(self, lo, hi):
+        # One kernel, one rate: a plan's crypto cost is linear in its
+        # leaves, however large the expansion batch grows.
+        import dataclasses
+
+        base = CostModel()
+        bumped = dataclasses.replace(base, derive_seconds=base.derive_seconds * 3)
+        plan = _plan_for("constant-brc", lo, hi)
+        delta = bumped.estimate(plan) - base.estimate(plan)
+        assert delta == pytest.approx(plan.est_leaves * 2 * base.derive_seconds)
+
 
 class TestCalibration:
     def test_calibrated_weights_are_positive_and_flagged(self):
@@ -141,6 +153,15 @@ class TestCalibration:
         backend = InMemoryBackend()
         calibrate_cost_model(backend, repeats=1)
         assert list(backend.namespaces()) == []
+
+    def test_calibration_times_the_given_kernel(self):
+        from repro.crypto.kernel import SerialKernel
+
+        kernel = SerialKernel()
+        calibrate_cost_model(repeats=1, kernel=kernel)
+        stats = kernel.stats()
+        assert stats["batches"] > 0
+        assert stats["leaves_expanded"] > 0
 
     def test_default_model_is_uncalibrated(self):
         assert not CostModel().calibrated

@@ -1,50 +1,31 @@
-"""Crypto-kernel contract: serial/pooled equivalence, crossover,
-crash fallback, and the engine-never-bypasses-the-kernel regression.
+"""Crypto-kernel contract: batch/scalar equivalence, descriptor
+validation, and the engine-never-bypasses-the-kernel regression.
 
-The kernel's one promise is byte-identical outputs across backends;
-these tests pin it primitive by primitive, then pin the operational
-behaviour around it — the crossover keeping small batches off the
-pool, a SIGKILLed worker degrading to a counted serial fallback
-instead of a hang, and the exec engine routing *every* leaf and label
-through the kernel (the spy test) so no per-leaf ``hmac.digest`` loop
-can quietly return.
+The kernel's one promise is byte-identical outputs to the scalar
+per-leaf paths; these tests pin it primitive by primitive, then pin
+the exec engine routing *every* leaf and label through the kernel
+(the spy test) so no per-leaf ``hmac.digest`` loop can quietly return.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import time
+import random
+import threading
 
 import pytest
 
-from repro.crypto import prg
 from repro.crypto.dprf import DelegationToken, GgmDprf
 from repro.crypto.kernel import (
-    DEFAULT_OFFLOAD_MIN_UNITS,
-    PooledKernel,
     SerialKernel,
-    _chunk_by_weight,
-    configure_default_kernel,
+    check_descriptor,
     default_kernel,
-    make_kernel,
+    descriptor_leaves,
 )
-from repro.crypto.prf import prf, prf_many
+from repro.crypto.prf import prf_many
 from repro.errors import KeyError_, TokenError
 from repro.sse.base import subkeys_from_secret
 from repro.sse.pibas import posting_label, posting_labels
-
-KEY = b"\x0b" * 32
-
-
-@pytest.fixture(scope="module")
-def pooled():
-    """One pool for the whole module: spawn startup costs ~0.5 s, and
-    every test here only needs *a* live worker lane, not a fresh one."""
-    kernel = PooledKernel(2, offload_min_units=1)
-    yield kernel
-    kernel.close()
-
 
 def _descriptors():
     return [
@@ -89,25 +70,15 @@ class TestSerialKernel:
         ]
         assert kernel.derive_labels([]) == []
 
-    def test_prf_prg_many(self):
-        kernel = SerialKernel()
-        messages = [b"m%d" % i for i in range(9)]
-        assert kernel.prf_many(KEY, messages) == [prf(KEY, m) for m in messages]
-        seeds = [os.urandom(32) for _ in range(5)]
-        assert kernel.prg_many(seeds) == [prg._expand(s) for s in seeds]
-
     def test_counters(self):
         kernel = SerialKernel()
         kernel.derive_leaf_subkeys([(b"\x05" * 32, 4)])
         kernel.derive_labels([(b"\x06" * 16, 0)])
-        stats = kernel.stats()
-        assert stats["backend"] == "serial"
-        assert stats["workers"] == 0
-        assert stats["batches_serial"] == 2
-        assert stats["batches_offloaded"] == 0
-        assert stats["leaves_expanded"] == 16
-        assert stats["labels_derived"] == 1
-        assert stats["offload_ratio"] == 0.0
+        assert kernel.stats() == {
+            "batches": 2,
+            "leaves_expanded": 16,
+            "labels_derived": 1,
+        }
 
     def test_rejects_bad_descriptor(self):
         kernel = SerialKernel()
@@ -117,149 +88,142 @@ class TestSerialKernel:
             kernel.derive_leaf_subkeys([(b"\x01" * 32, -1)])
 
 
-class TestPooledKernel:
-    def test_byte_identical_to_serial(self, pooled):
-        serial = SerialKernel()
-        descriptors = _descriptors()
-        assert pooled.derive_leaf_subkeys(
-            descriptors
-        ) == serial.derive_leaf_subkeys(descriptors)
-        assert pooled.expand_subtrees(descriptors) == serial.expand_subtrees(
-            descriptors
-        )
-        items = [(os.urandom(16), i) for i in range(300)]
-        assert pooled.derive_labels(items) == serial.derive_labels(items)
-        messages = [b"msg-%d" % i for i in range(50)]
-        assert pooled.prf_many(KEY, messages) == prf_many(KEY, messages)
-        seeds = [os.urandom(32) for _ in range(20)]
-        assert pooled.prg_many(seeds) == serial.prg_many(seeds)
-        assert pooled.stats()["batches_offloaded"] >= 5
-        assert pooled.stats()["serial_fallbacks"] == 0
+class TestBatchShapes:
+    """Edge shapes of a batch: empty, single-leaf, mixed and out of order."""
 
-    def test_crossover_keeps_small_batches_serial(self):
-        kernel = PooledKernel(2, offload_min_units=10_000)
-        try:
-            before = kernel.stats()
-            kernel.derive_leaf_subkeys([(b"\x07" * 32, 6)])  # 128 units
-            kernel.derive_labels([(b"\x08" * 16, i) for i in range(64)])
-            stats = kernel.stats()
-            assert stats["batches_serial"] == before["batches_serial"] + 2
-            assert stats["batches_offloaded"] == 0
-            # Never offloaded => the pool was never even created.
-            assert kernel._pool is None
-        finally:
-            kernel.close()
+    def test_empty_batches_return_empty(self):
+        kernel = SerialKernel()
+        assert kernel.expand_subtrees([]) == []
+        assert kernel.derive_leaf_subkeys([]) == []
+        assert kernel.derive_labels([]) == []
+        assert kernel.stats() == {
+            "batches": 3,
+            "leaves_expanded": 0,
+            "labels_derived": 0,
+        }
 
-    def test_worker_crash_falls_back_serially(self):
-        """SIGKILL every pool worker, then ask for a batch: the query
-        must complete (correct bytes, no hang), count one serial
-        fallback, and the *next* batch must offload again through a
-        lazily rebuilt pool."""
-        kernel = PooledKernel(2, offload_min_units=1)
-        serial = SerialKernel()
-        descriptors = [(b"\x09" * 32, 8)]
-        try:
-            for pid in kernel.worker_pids():
-                os.kill(pid, signal.SIGKILL)
-            t0 = time.monotonic()
-            result = kernel.derive_leaf_subkeys(descriptors)
-            assert time.monotonic() - t0 < 30  # completed, no hang
-            assert result == serial.derive_leaf_subkeys(descriptors)
-            stats = kernel.stats()
-            assert stats["serial_fallbacks"] == 1
-            # Recovery: the pool rebuilds lazily and offloads again.
-            assert kernel.derive_labels(
-                [(b"\x0a" * 16, i) for i in range(8)]
-            ) == serial.derive_labels([(b"\x0a" * 16, i) for i in range(8)])
-            after = kernel.stats()
-            assert after["batches_offloaded"] >= 1
-            assert after["serial_fallbacks"] == 1
-        finally:
-            kernel.close()
+    def test_level_zero_descriptor_is_its_own_leaf(self):
+        kernel = SerialKernel()
+        seed = b"\x21" * 32
+        assert kernel.expand_subtrees([(seed, 0)]) == [[seed]]
+        assert kernel.derive_leaf_subkeys([(seed, 0)]) == [
+            (subkeys_from_secret(seed),)
+        ]
 
-    def test_sim_mode_computes_inline_and_occupies_lanes(self):
-        kernel = PooledKernel(3, offload_min_units=1, sim_hmac_s=1e-9)
-        serial = SerialKernel()
-        try:
-            descriptors = _descriptors()
-            assert kernel.derive_leaf_subkeys(
-                descriptors
-            ) == serial.derive_leaf_subkeys(descriptors)
-            stats = kernel.stats()
-            assert stats["batches_offloaded"] == 1
-            # The simulated lane never creates a real pool.
-            assert kernel._pool is None
-        finally:
-            kernel.close()
+    def test_mixed_batch_matches_one_batch_per_descriptor(self):
+        rng = random.Random(11)
+        descriptors = [
+            (bytes(rng.randrange(256) for _ in range(32)), rng.randrange(7))
+            for _ in range(12)
+        ]
+        kernel = SerialKernel()
+        expanded = kernel.expand_subtrees(descriptors)
+        subkeys = kernel.derive_leaf_subkeys(descriptors)
+        assert len(expanded) == len(subkeys) == len(descriptors)
+        for descriptor, leaves, pairs in zip(descriptors, expanded, subkeys):
+            assert len(leaves) == len(pairs) == 1 << descriptor[1]
+            assert kernel.expand_subtrees([descriptor]) == [leaves]
+            assert kernel.derive_leaf_subkeys([descriptor]) == [pairs]
+
+    def test_check_descriptor_normalises_types(self):
+        seed, level = check_descriptor([bytearray(b"\x22" * 32), 3.0])
+        assert type(seed) is bytes and seed == b"\x22" * 32
+        assert type(level) is int and level == 3
+        kernel = SerialKernel()
+        assert kernel.expand_subtrees(
+            [(memoryview(b"\x22" * 32), 3)]
+        ) == kernel.expand_subtrees([(b"\x22" * 32, 3)])
+
+    def test_descriptor_leaves_is_batch_weight(self):
+        assert descriptor_leaves([]) == 0
+        assert descriptor_leaves([(b"", 0), (b"", 3), (b"", 5)]) == 1 + 8 + 32
 
 
-class TestChunking:
-    def test_preserves_order_and_items(self):
-        items = list(range(17))
-        weights = [1 + (i % 5) for i in items]
-        chunks = _chunk_by_weight(items, weights, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert len(chunks) <= 4
+class TestKernelCounters:
+    def test_stats_is_a_snapshot_of_counts_only(self):
+        kernel = SerialKernel()
+        snapshot = kernel.stats()
+        assert set(snapshot) == {"batches", "leaves_expanded", "labels_derived"}
+        snapshot["batches"] = 99
+        kernel.expand_subtrees([(b"\x23" * 32, 2)])
+        assert kernel.stats()["batches"] == 1
 
-    def test_single_chunk_cases(self):
-        assert _chunk_by_weight([1], [3], 4) == [[1]]
-        assert _chunk_by_weight([1, 2], [1, 1], 1) == [[1, 2]]
+    def test_rejected_batch_counts_nothing(self):
+        kernel = SerialKernel()
+        good = (b"\x24" * 32, 2)
+        with pytest.raises(TokenError):
+            kernel.derive_leaf_subkeys([good, (b"\x24" * 31, 2)])
+        with pytest.raises(TokenError):
+            kernel.expand_subtrees([good, (b"\x24" * 32, -3)])
+        assert kernel.stats() == {
+            "batches": 0,
+            "leaves_expanded": 0,
+            "labels_derived": 0,
+        }
+
+    def test_concurrent_batches_count_exactly(self):
+        # One kernel is shared by every executor built without a
+        # private one, so its counters take batches from many threads.
+        kernel = SerialKernel()
+        threads, rounds = 4, 25
+
+        def work(tid):
+            for i in range(rounds):
+                kernel.derive_leaf_subkeys([(bytes([tid, i]) * 16, 1)])
+                kernel.derive_labels([(b"\x25" * 16, i), (b"\x26" * 16, i)])
+
+        pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert kernel.stats() == {
+            "batches": 2 * threads * rounds,
+            "leaves_expanded": 2 * threads * rounds,
+            "labels_derived": 2 * threads * rounds,
+        }
 
 
-class TestConfig:
-    def test_make_kernel_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CRYPTO_WORKERS", raising=False)
-        assert make_kernel().name == "serial"
-        monkeypatch.setenv("REPRO_CRYPTO_WORKERS", "0")
-        assert make_kernel().name == "serial"
-        monkeypatch.setenv("REPRO_CRYPTO_WORKERS", "3")
-        kernel = make_kernel()
-        assert kernel.name == "pooled" and kernel.workers == 3
-        kernel.close()
-        monkeypatch.setenv("REPRO_CRYPTO_WORKERS", "nope")
-        with pytest.raises(ValueError):
-            make_kernel()
+class TestKernelSpans:
+    def test_batch_span_names_op_and_units(self):
+        from repro.obs.tracing import TraceBuffer, start_trace
 
-    def test_explicit_workers_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CRYPTO_WORKERS", "4")
-        assert make_kernel(0).name == "serial"
+        kernel = SerialKernel()
+        buffer = TraceBuffer()
+        with start_trace("kernel-spans", buffer, "root"):
+            kernel.expand_subtrees([(b"\x27" * 32, 3)])
+            kernel.derive_leaf_subkeys([(b"\x27" * 32, 2), (b"\x28" * 32, 0)])
+            kernel.derive_labels([(b"\x29" * 16, i) for i in range(5)])
+        (trace,) = buffer.find("kernel-spans")
+        batches = [s["meta"] for s in trace["spans"] if s["name"] == "kernel.batch"]
+        assert batches == [
+            {"op": "expand_subtrees", "units": 8},
+            {"op": "derive_leaf_subkeys", "units": 2 * 5},
+            {"op": "derive_labels", "units": 5},
+        ]
 
-    def test_crossover_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CRYPTO_CROSSOVER", "17")
-        kernel = PooledKernel(1)
-        try:
-            assert kernel.offload_min_units == 17
-        finally:
-            kernel.close()
-        monkeypatch.delenv("REPRO_CRYPTO_CROSSOVER")
-        kernel = PooledKernel(1)
-        try:
-            assert kernel.offload_min_units == DEFAULT_OFFLOAD_MIN_UNITS
-        finally:
-            kernel.close()
 
-    def test_sim_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CRYPTO_SIM_HMAC_US", "2.5")
-        kernel = make_kernel(0)
-        assert kernel.sim_hmac_s == pytest.approx(2.5e-6)
-
-    def test_configure_default_kernel(self):
-        try:
-            kernel = configure_default_kernel(0)
-            assert kernel.name == "serial"
-            assert default_kernel() is kernel
-        finally:
-            configure_default_kernel(0)
-
-    def test_configure_default_executor_wires_kernel(self):
+class TestDefaultKernel:
+    def test_default_executor_uses_default_kernel(self):
         from repro.exec import configure_default_executor
 
         try:
-            executor = configure_default_executor(crypto_workers=0)
-            assert executor.kernel.name == "serial"
+            executor = configure_default_executor()
+            assert isinstance(executor.kernel, SerialKernel)
             assert executor.kernel is default_kernel()
         finally:
-            configure_default_executor(crypto_workers=0)
+            configure_default_executor()
+
+    def test_default_kernel_is_shared(self):
+        from repro.exec import QueryExecutor
+
+        assert default_kernel() is default_kernel()
+        first, second = QueryExecutor(workers=1), QueryExecutor(workers=1)
+        try:
+            assert first.kernel is second.kernel is default_kernel()
+        finally:
+            first.close()
+            second.close()
 
 
 class TestDprfKernelEntryPoints:

@@ -171,3 +171,46 @@ def test_truncated_histogram_chunk_rejected(tmp_path):
     bad.write_bytes(forged)
     with pytest.raises(IntegrityError):
         HybridRangeStore.load(bad)
+
+
+def test_retired_cost_model_slots_load_and_route_the_same(tmp_path):
+    """The cost-model chunk keeps three retired slots.  A snapshot whose
+    slots hold a calibrated process-pool model's crossover and rates
+    (as older writers stored) loads and routes exactly like one holding
+    the ``inf, 0.0, 0.0`` that ``save`` writes today."""
+    from repro.io.snapshot import _Reader, _chunk
+    from repro.rangestore import _COST_MODEL_PACK, _HYBRID_MAGIC
+
+    store, _ = _populated_store()
+    store.dispatcher.cost_model = calibrate_cost_model(
+        probe_labels=8, repeats=1
+    )
+    path = tmp_path / "hybrid.rsse"
+    store.save(path)
+    blob = path.read_bytes()
+    reader = _Reader(blob[len(_HYBRID_MAGIC) :])
+    domain, dispatch, model = reader.chunk(), reader.chunk(), reader.chunk()
+    fields = _COST_MODEL_PACK.unpack(model)
+    assert fields[6:9] == (float("inf"), 0.0, 0.0)
+    head = len(_HYBRID_MAGIC) + 8 * 3 + len(domain) + len(dispatch) + len(model)
+    rest = blob[head:]
+
+    def forge(retired) -> "HybridRangeStore":
+        packed = _COST_MODEL_PACK.pack(*fields[:6], *retired, fields[9])
+        out = tmp_path / f"forged-{retired[0]}.rsse"
+        out.write_bytes(
+            _HYBRID_MAGIC + _chunk(domain) + _chunk(dispatch)
+            + _chunk(packed) + rest
+        )
+        return HybridRangeStore.load(out)
+
+    pooled_era = forge((2048.0, 4.0e-7, 6.5e-7))
+    current = forge((float("inf"), 0.0, 0.0))
+    assert pooled_era.dispatcher.cost_model == current.dispatcher.cost_model
+    assert current.dispatcher.cost_model == store.dispatcher.cost_model
+    probe_ranges = [(0, DOMAIN - 1), (60, 140), (90, 110), (500, 900)]
+    for lo, hi in probe_ranges:
+        got = pooled_era.search(lo, hi)
+        want = current.search(lo, hi)
+        assert got.scheme_chosen == want.scheme_chosen
+        assert got.ids == want.ids

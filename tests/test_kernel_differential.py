@@ -1,16 +1,18 @@
-"""Serial-vs-pooled kernel differential across every registry scheme.
+"""Batch-kernel vs scalar-reference differential across every scheme.
 
-The kernel contract is byte-identical outputs regardless of backend.
-This suite pins it at the strongest observable boundary — the wire: a
-client runs real range queries against a server whose executor uses the
-``SerialKernel``, recording every request/response frame; the same
-frames then replay against a second server over the *same* storage
-backend whose executor offloads every batch to a ``PooledKernel``
-(crossover forced to 1), and each response frame must match the
-recorded one byte for byte.  All seven registry schemes, over both the
-in-memory and SQLite backends — if any pooled code path (chunking,
-blob slicing, worker jobs, pickling) disagreed with the serial loop by
-one byte anywhere, a frame comparison here fails.
+The kernel contract is byte-identical outputs to the scalar per-leaf
+paths it batches.  This suite pins it at the strongest observable
+boundary — the wire: a client runs real range queries against a server
+whose executor uses the ``SerialKernel``, recording every
+request/response frame; the same frames then replay against a second
+server over the *same* storage backend whose executor uses a reference
+kernel running the scalar paths (``GgmDprf.iter_leaves`` +
+``subkeys_from_secret``, one ``posting_label`` per item), and each
+response frame must match the recorded one byte for byte.  All seven
+registry schemes, over both the in-memory and SQLite backends — if the
+fused hot loops or their blob slicing disagreed with the scalar paths
+by one byte anywhere, a frame comparison here fails.  This is the
+licence for rewriting the kernel's loops.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ import pytest
 
 from repro import make_scheme
 from repro.baselines.plaintext import PlaintextRangeIndex
-from repro.crypto.kernel import PooledKernel, SerialKernel
+from repro.crypto.dprf import DelegationToken, GgmDprf
+from repro.crypto.kernel import SerialKernel
 from repro.exec.engine import QueryExecutor
 from repro.protocol import RemoteRangeClient, RsseServer
+from repro.sse.base import subkeys_from_secret
+from repro.sse.pibas import posting_label
 from repro.storage import InMemoryBackend, SqliteBackend
 
 SCHEMES = (
@@ -41,18 +46,34 @@ BACKENDS = ("memory", "sqlite")
 RANGES = [(0, 63), (17, 51), (32, 32), (50, 60)]
 
 
-@pytest.fixture(scope="module")
-def pooled():
-    """One worker pool for all 14 cases — spawn startup is ~0.5 s, and
-    sharing it also means the pool sees every scheme's batch shapes."""
-    kernel = PooledKernel(2, offload_min_units=1)
-    yield kernel
-    stats = kernel.stats()
-    kernel.close()
-    # The whole module must have exercised the *offloaded* lane, and a
-    # silent worker death would have shown up as a counted fallback.
-    assert stats["batches_offloaded"] > 0
-    assert stats["serial_fallbacks"] == 0
+class _ScalarKernel(SerialKernel):
+    """Reference kernel: the engine's three batch calls, answered by
+    the scalar per-leaf paths the fused loops replaced."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def expand_subtrees(self, descriptors):
+        self.calls += 1
+        return [
+            list(GgmDprf.iter_leaves(DelegationToken(seed, level)))
+            for seed, level in descriptors
+        ]
+
+    def derive_leaf_subkeys(self, descriptors):
+        self.calls += 1
+        return [
+            tuple(
+                subkeys_from_secret(leaf)
+                for leaf in GgmDprf.iter_leaves(DelegationToken(seed, level))
+            )
+            for seed, level in descriptors
+        ]
+
+    def derive_labels(self, items):
+        self.calls += 1
+        return [posting_label(key, counter) for key, counter in items]
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +110,8 @@ def _make_backend(kind: str, tmp_path):
 
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("name", SCHEMES)
-def test_pooled_replay_is_byte_identical(
-    name, backend_kind, dataset, pooled, tmp_path
+def test_scalar_replay_is_byte_identical(
+    name, backend_kind, dataset, tmp_path
 ):
     domain = 64 if name == "quadratic" else 128
     kwargs = (
@@ -110,13 +131,12 @@ def test_pooled_replay_is_byte_identical(
         assert client.query(lo, hi) == frozenset(oracle.query(lo, hi))
     assert transport.frames, "queries must have produced frames"
 
-    # Same stored state, same request frames, pooled crypto lane: every
-    # response frame must come back byte-identical.
-    offloaded_before = pooled.stats()["batches_offloaded"]
-    pooled_server = RsseServer(backend, executor=_executor(pooled))
+    # Same stored state, same request frames, scalar reference paths:
+    # every response frame must come back byte-identical.
+    reference = _ScalarKernel()
+    reference_server = RsseServer(backend, executor=_executor(reference))
     for request, expected in transport.frames:
-        response = pooled_server.handle(request)
+        response = reference_server.handle(request)
         assert (None if response is None else bytes(response)) == expected
-    stats = pooled.stats()
-    assert stats["batches_offloaded"] > offloaded_before
-    assert stats["serial_fallbacks"] == 0
+    # The replay must actually have gone through the reference paths.
+    assert reference.calls > 0

@@ -168,10 +168,9 @@ def test_reconnect_under_load_keeps_replies_aligned():
     still get exactly its own reply, in position (no duplicated,
     dropped, or cross-wired responses after the rebuild-and-retry).
 
-    The server runs a serialized per-response service time
-    (``sim_core_floor_s``) so replies trickle out one by one — the kill
-    provably lands while most of the batch is still in flight on the
-    doomed connection.
+    The server's requests sleep 30 ms each while holding one lock, so
+    replies trickle out one by one — the kill provably lands while most
+    of the batch is still in flight on the doomed connection.
     """
     import time
 
@@ -179,9 +178,18 @@ def test_reconnect_under_load_keeps_replies_aligned():
 
     n = 40
     records = [(i, b"record-%03d" % i) for i in range(n)]
-    with serve_in_thread(
-        RsseServer(), sim_core_floor_s=0.03, max_inflight=512
-    ) as server:
+    core = RsseServer()
+    handle = core.handle_request
+    one_at_a_time = threading.Lock()
+
+    def serialized_handle(frame):
+        # The net server looks handle_request up per frame.
+        with one_at_a_time:
+            time.sleep(0.03)
+            return handle(frame)
+
+    core.handle_request = serialized_handle
+    with serve_in_thread(core, max_inflight=512) as server:
         with NetTransport("127.0.0.1", server.port) as setup:
             setup(UploadRecords(7, records).to_frame())
         # One FetchRequest per distinct record: reply i is recognizably

@@ -27,6 +27,23 @@ from repro.protocol import (
 )
 from repro.protocol import messages as msg
 
+def _slow_core(delay_s: float) -> RsseServer:
+    """A core whose every request takes at least ``delay_s``: the net
+    server looks ``handle_request`` up per frame, so an instance
+    attribute wrapping it stands in for a slow backend."""
+    import time
+
+    core = RsseServer()
+    handle = core.handle_request
+
+    def slow_handle(frame):
+        time.sleep(delay_s)
+        return handle(frame)
+
+    core.handle_request = slow_handle
+    return core
+
+
 #: Every wire-capable scheme (PB's Bloom tree has no EDB to outsource).
 NET_SCHEMES = (
     "quadratic",
@@ -332,12 +349,12 @@ class TestDrainFlushesInflight:
     def test_stop_during_processing_still_delivers_the_reply(self):
         """stop() must not close writers under a reply still in flight:
         a request admitted before the drain began gets its response
-        bytes, even when processing (here: a delayed response) is still
+        bytes, even when processing (here: a slow request) is still
         pending when stop() is called."""
         import socket as socketlib
         import threading as threadinglib
 
-        server = serve_in_thread(RsseServer(), response_delay_s=0.3)
+        server = serve_in_thread(_slow_core(0.3))
         try:
             sock = socketlib.create_connection(
                 ("127.0.0.1", server.port), timeout=10
@@ -373,7 +390,7 @@ class TestCloseWithInflight:
         leave it blocked on a loop that stopped."""
         import time as timelib
 
-        server = serve_in_thread(RsseServer(), response_delay_s=0.5)
+        server = serve_in_thread(_slow_core(0.5))
         transport = NetTransport("127.0.0.1", server.port, timeout_s=30)
         outcome: "list" = []
 
@@ -387,7 +404,7 @@ class TestCloseWithInflight:
 
         t = threading.Thread(target=requester)
         t.start()
-        timelib.sleep(0.1)  # the request is in flight (server delaying)
+        timelib.sleep(0.1)  # the request is in flight (server still slow)
         transport.close()
         t.join(timeout=15)
         assert not t.is_alive(), "requester thread hung after close()"

@@ -356,7 +356,6 @@ class TestRenderOverflow:
             "p99_ms": 2.0,
             "inflight": 0,
             "cache_hit_rate": 0.5,
-            "kernel": "serial",
             "errors": 0,
         }
         row.update(overrides)
@@ -372,7 +371,6 @@ class TestRenderOverflow:
                     address="very-long-hostname.internal.example.com:65001",
                     shard="9999999/9999999",
                     qps=123456789012.0,
-                    kernel="a-very-long-kernel-backend-name",
                     errors=10**15,
                 ),
             ],
@@ -399,7 +397,6 @@ class TestRenderOverflow:
                 "errors": 0,
                 "inflight_by_index": {},
                 "exec_cache": None,
-                "crypto_kernel": {"backend": "serial"},
                 "ops": {},
                 "search_p99_ms": 1.5,
             }
@@ -411,10 +408,8 @@ class TestRenderOverflow:
             "shard_count": 2,
             "reachable": 2,
             "unreachable_shards": [],
-            "totals": {"stored_bytes": 0, "frames_in": 0,
-                       "serial_fallbacks": 0},
+            "totals": {"stored_bytes": 0, "frames_in": 0},
             "exec_cache_hit_rate": 0.0,
-            "kernel_offload_ratio": 0.0,
             "shards": [
                 entry(),
                 entry(
@@ -424,13 +419,45 @@ class TestRenderOverflow:
                     stored_bytes=10**14,
                     frames_in=10**12,
                     search_p99_ms=123456.789,
-                    crypto_kernel={"backend": "a-long-backend", "workers": 9},
                 ),
             ],
         }
         normal, hostile = render_health(health).splitlines()[3:5]
         assert len(normal) == len(hostile)  # aligned despite abuse
         assert "…" in hostile
+
+    def test_summarize_mixed_fleet_kernel_stats(self):
+        # A shard still running an older build reports pooled-kernel
+        # counters; a current shard reports only batch/leaf/label
+        # counts.  Health sums neither and renders both rows alike.
+        from repro.cluster.health import render_health, summarize
+
+        def probe(kernel):
+            return {
+                "reachable": True,
+                "stats": {
+                    "net": {"frames_in": 5, "errors": 0, "ops": {}},
+                    "server": {"stored_bytes": 100, "crypto_kernel": kernel},
+                },
+            }
+
+        smap = make_shard_map([("127.0.0.1", 9001), ("127.0.0.1", 9002)])
+        health = summarize(smap, [
+            probe({"backend": "process", "workers": 2,
+                   "batches_offloaded": 7, "serial_fallbacks": 1}),
+            probe({"batches": 3, "leaves_expanded": 24,
+                   "labels_derived": 9}),
+        ])
+        assert health["reachable"] == 2
+        assert health["totals"]["stored_bytes"] == 200
+        assert not {"batches_offloaded", "serial_fallbacks"} & set(
+            health["totals"]
+        )
+        assert "kernel_offload_ratio" not in health
+        assert all("crypto_kernel" not in s for s in health["shards"])
+        lines = render_health(health).splitlines()
+        assert "kernel" not in lines[0] + lines[1]
+        assert len(lines[3]) == len(lines[4])
 
 
 class TestCliHeadless:
