@@ -128,21 +128,14 @@ def run_latency(args, scheme_blob: bytes) -> "tuple[dict, dict]":
 
 def _server_main(port_value, ready, stop) -> None:
     """Server process: one RsseNetServer until the stop event."""
-    import asyncio
-
     from repro.net.server import RsseNetServer
     from repro.protocol import RsseServer
 
-    async def run() -> None:
-        server = RsseNetServer(RsseServer(), max_inflight=512)
-        await server.start()
-        port_value.value = server.port
-        ready.set()
-        while not stop.is_set():
-            await asyncio.sleep(0.05)
-        await server.stop()
-
-    asyncio.run(run())
+    server = RsseNetServer(RsseServer(), max_inflight=512).start()
+    port_value.value = server.port
+    ready.set()
+    stop.wait()
+    server.stop()
 
 
 def _client_main(

@@ -36,8 +36,8 @@ For a real client/server split, see
 :class:`repro.protocol.RsseServer` (server: ciphertext only), and the
 storage backends in :mod:`repro.storage`.  To put that split on an
 actual network, :mod:`repro.net` hosts the server over TCP
-(``RsseNetServer``) and pools owner-side connections
-(``NetTransport``) — same frames, real sockets.
+(``RsseNetServer``, one thread per connection) and pools owner-side
+blocking sockets (``NetTransport``) — same frames, real sockets.
 """
 
 from repro.core import (

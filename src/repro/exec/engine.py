@@ -142,7 +142,6 @@ class QueryExecutor:
         else:
             self.cache = cache
         self._pool: "ThreadPoolExecutor | None" = None
-        self._offload: "ThreadPoolExecutor | None" = None
         self._pool_lock = threading.Lock()
 
     # -- worker pool -------------------------------------------------------
@@ -166,42 +165,13 @@ class QueryExecutor:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
 
-    def offload_pool(self) -> ThreadPoolExecutor:
-        """The transport-facing pool: whole-request offload off an event
-        loop.
-
-        Deliberately distinct from the :meth:`map` pool.  A request
-        handler running *on* the map pool may itself call :meth:`map`
-        (GGM expansion fan-out); if both shared one pool, ``workers``
-        concurrent handlers would occupy every thread and then block
-        waiting for map tasks no free thread can ever run — classic
-        same-pool starvation.  Two pools of width ``workers`` keep the
-        deadlock impossible while still bounding threads at 2×workers.
-
-        Width floor of 2 even when ``workers`` is 1 (single-core box):
-        this pool multiplexes *independent requests*, and at width 1 a
-        long write — an update batch riding a consolidation merge —
-        head-of-line-blocks every search sharing the server.  Reads and
-        writes interleaving at GIL granularity is the whole point of
-        offloading; ``map`` parallelism stays at ``workers``.
-        """
-        with self._pool_lock:
-            if self._offload is None:
-                self._offload = ThreadPoolExecutor(
-                    max_workers=max(2, self.workers),
-                    thread_name_prefix="repro-offload",
-                )
-            return self._offload
-
     def close(self) -> None:
-        """Shut the pools down (idempotent; the engine stays usable —
-        a later call lazily recreates them)."""
+        """Shut the pool down (idempotent; the engine stays usable —
+        a later call lazily recreates it)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            offload, self._offload = self._offload, None
-        for p in (pool, offload):
-            if p is not None:
-                p.shutdown(wait=True)
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # -- cache lifecycle ----------------------------------------------------
 

@@ -180,7 +180,7 @@ def run_experiment(
 
 def _serve_main(argv: "list[str]") -> int:
     """``rsse-experiments serve``: host the network server until ^C."""
-    import asyncio
+    import signal
 
     from repro.net import RsseNetServer
     from repro.protocol import RsseServer
@@ -301,42 +301,28 @@ def _serve_main(argv: "list[str]") -> int:
         ssl=ssl_context,
         shard=args.shard,
     )
-
-    async def run() -> None:
-        import signal
-
-        await server.start()
-        shard_note = f", shard {args.shard}" if args.shard else ""
-        tls_note = ", tls" if ssl_context is not None else ""
-        print(
-            f"rsse-server listening on {args.host}:{server.port} "
-            f"(backend: {'sqlite:' + args.sqlite if args.sqlite else 'memory'}, "
-            f"max in-flight: {server.max_inflight}{shard_note}{tls_note})",
-            flush=True,
-        )
-        # ^C/SIGTERM set an event instead of raising, so shutdown goes
-        # through server.stop() — in-flight requests finish and flush
-        # (the graceful drain the class promises), not task cancellation.
-        stop_signal = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop_signal.set)
-            except (NotImplementedError, RuntimeError):  # non-POSIX loops
-                pass
-        await stop_signal.wait()
-        await server.stop()
-
-    drained = True
+    server.start()
+    shard_note = f", shard {args.shard}" if args.shard else ""
+    tls_note = ", tls" if ssl_context is not None else ""
+    print(
+        f"rsse-server listening on {args.host}:{server.port} "
+        f"(backend: {'sqlite:' + args.sqlite if args.sqlite else 'memory'}, "
+        f"max in-flight: {server.max_inflight}{shard_note}{tls_note})",
+        flush=True,
+    )
+    # ^C/SIGTERM drain through server.stop() — in-flight requests finish
+    # and flush (the graceful drain the class promises) — instead of
+    # raising KeyboardInterrupt into the wait below.
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: server.stop())
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        drained = False  # signal handler unavailable — tasks were cancelled
+        server.serve_forever()
     finally:
+        server.stop()  # idempotent: a no-op after a signal's drain
         backend.close()
     stats = server.stats
     print(
-        f"\n{'drained' if drained else 'stopped (no drain)'}. "
+        "\ndrained. "
         f"{stats.connections_total} connections, "
         f"{stats.frames_in} frames in, {stats.frames_out} out, "
         f"{stats.errors} errors"

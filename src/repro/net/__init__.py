@@ -3,11 +3,14 @@
 The split-trust model of the paper assumes an owner and an untrusted
 server on *different machines*; this package is that boundary made
 physical.  :class:`RsseNetServer` hosts any
-:class:`~repro.protocol.RsseServer` behind a concurrent, pipelined,
-backpressured TCP front; :class:`NetTransport` is the owner-side pooled
-connection that plugs into :class:`~repro.protocol.RemoteRangeClient`
-unchanged.  Framing is the protocol's own length-prefixed header,
-stream-validated by :class:`FrameReader`.
+:class:`~repro.protocol.RsseServer` behind a thread-per-connection,
+pipelined, backpressured TCP front; :class:`NetTransport` is the
+owner-side pool of blocking sockets that plugs into
+:class:`~repro.protocol.RemoteRangeClient` unchanged.  Both sides are
+plain blocking sockets: a frame travels from the caller's thread to the
+server thread that handles it with no hand-off in between.  Framing is
+the protocol's own length-prefixed header, stream-validated by
+:class:`FrameReader`.
 
 Quickstart::
 
@@ -25,7 +28,7 @@ Quickstart::
         transport.close()
 """
 
-from repro.net.client import AsyncNetTransport, NetTransport
+from repro.net.client import NetTransport
 from repro.net.framing import HEADER_SIZE, MAX_FRAME_BYTES, FrameReader
 from repro.net.server import (
     NetServerThread,
@@ -36,7 +39,6 @@ from repro.net.server import (
 from repro.net.store import NetRangeStore
 
 __all__ = [
-    "AsyncNetTransport",
     "FrameReader",
     "HEADER_SIZE",
     "MAX_FRAME_BYTES",

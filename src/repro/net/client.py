@@ -3,132 +3,56 @@
 ``NetTransport`` is a drop-in :data:`~repro.protocol.client.Transport`
 — a callable ``frame -> response frame`` — so every existing owner-side
 class (:class:`~repro.protocol.RemoteRangeClient`, ``query_many``, the
-harness) runs over real sockets unchanged.  Internally it is an asyncio
-core on a private event-loop thread:
+harness) runs over real sockets unchanged.  It is plain blocking
+sockets: a frame goes from the caller's thread straight onto the wire
+and its reply is read on that same thread.
 
-- **N pooled connections**, opened lazily, handed out round-robin.
-- **Pipelining.**  ``send_many`` writes every frame before awaiting any
-  response; the server answers in order per connection, so one wave of
-  round-trips covers the whole batch (uploads during ``outsource``,
-  both rounds of a query batch).
-- **Reconnect with backoff.**  A dead connection is rebuilt with
-  exponential backoff and the request retried on the fresh socket —
-  at-least-once delivery, which the protocol tolerates (uploads are
-  content-idempotent, searches and fetches are pure reads).
-- **Timeouts.**  Every request is bounded; expiry raises
-  :class:`~repro.errors.TransportError` rather than hanging the owner.
-
-The sync facade exists so no caller ever touches asyncio: construct,
-call, close (or use as a context manager).
+- **A bounded pool.**  At most ``pool_size`` sockets, opened lazily.
+  A call checks one out for its whole round trip; when every socket is
+  busy the caller waits for one to come back rather than dialing more.
+- **Pipelining.**  ``send_many`` stripes its frames over up to
+  ``pool_size`` sockets, writes each share back to back, then reads the
+  replies in order — one wave of round-trips for a whole upload.
+- **Retry on a fresh socket.**  A socket that raised or hit EOF is
+  closed and never reused, so a late reply can never pair with a later
+  request; the request is resent on a new socket with exponential
+  backoff — at-least-once delivery, which the protocol tolerates
+  (uploads are content-idempotent, searches and fetches are pure reads).
+- **Timeouts.**  ``timeout_s`` bounds the whole request, connect to last
+  byte; expiry raises :class:`~repro.errors.TransportError` at once
+  rather than hanging (or silently resending to) the owner.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
-from collections import deque
+import time
 
 from repro.errors import FramingError, TransportError
 from repro.net.framing import MAX_FRAME_BYTES, FrameReader
 from repro.protocol import messages as msg
 
 
-class _PooledConnection:
-    """One pipelined connection: FIFO futures matched to FIFO replies."""
-
-    def __init__(
-        self, host: str, port: int, max_frame_bytes: int, ssl=None
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._max_frame_bytes = max_frame_bytes
-        self._ssl = ssl
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-        self._read_task: "asyncio.Task | None" = None
-        self._pending: "deque[asyncio.Future]" = deque()
-        self._write_lock = asyncio.Lock()
-        self.connected = False
-
-    async def open(self) -> None:
-        reader, writer = await asyncio.open_connection(
-            self._host, self._port, ssl=self._ssl
-        )
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._reader, self._writer = reader, writer
-        self._frames = FrameReader(self._max_frame_bytes)
-        self.connected = True
-        self._read_task = asyncio.ensure_future(self._read_loop())
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                data = await self._reader.read(65536)
-                if not data:
-                    raise TransportError("server closed the connection")
-                for frame in self._frames.feed(data):
-                    if not self._pending:
-                        raise FramingError("unsolicited response frame")
-                    future = self._pending.popleft()
-                    if not future.done():  # timed-out slots still pair up
-                        future.set_result(frame)
-                if self._frames.error is not None:
-                    raise self._frames.error
-        except BaseException as exc:  # noqa: BLE001 — every waiter must learn
-            self._fail(exc)
-
-    def _fail(self, exc: BaseException) -> None:
-        self.connected = False
-        while self._pending:
-            future = self._pending.popleft()
-            if not future.done():
-                future.set_exception(
-                    exc
-                    if isinstance(exc, TransportError)
-                    else TransportError(f"connection failed: {exc!r}")
-                )
-
-    async def request(self, frame: bytes) -> "asyncio.Future":
-        """Write one frame, returning the future of its response.
-
-        The caller awaits the future *outside* the write lock, which is
-        exactly what makes pipelining work: N calls enqueue N writes
-        back-to-back, then all N futures resolve as replies stream in.
-        """
-        if not self.connected:
-            raise TransportError("connection is closed")
-        future = asyncio.get_running_loop().create_future()
-        async with self._write_lock:
-            # Append under the same lock as the write: the pending
-            # queue's order must equal the bytes' order on the wire.
-            self._pending.append(future)
-            self._writer.write(frame)
-            await self._writer.drain()
-        return future
-
-    async def close(self) -> None:
-        self.connected = False
-        if self._read_task is not None:
-            self._read_task.cancel()
-            try:
-                await self._read_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        if self._writer is not None:
-            self._writer.close()
-        self._fail(TransportError("transport closed"))
+def _remaining(deadline: float) -> float:
+    """Seconds left before ``deadline``; raises once it has passed."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("request deadline passed")
+    return remaining
 
 
-class AsyncNetTransport:
-    """The asyncio core: pool, retry, timeout.  Runs on one loop."""
+class NetTransport:
+    """A blocking ``frame -> frame`` callable over a small socket pool.
+
+    Thread-safe: any number of threads may call it at once; each holds
+    its own socket for the duration of its round trip.
+    """
 
     def __init__(
         self,
-        host: str,
-        port: int,
+        host: str = "127.0.0.1",
+        port: int = 0,
         *,
         pool_size: int = 2,
         timeout_s: float = 30.0,
@@ -145,189 +69,217 @@ class AsyncNetTransport:
         self.backoff_s = backoff_s
         self.max_frame_bytes = max_frame_bytes
         self.ssl = ssl
-        #: Set by :meth:`close`; checked at every retry boundary so a
-        #: request in flight on another thread fails fast with
-        #: TransportError instead of redialing (and leaking a socket)
-        #: or hanging on a loop that is about to stop.
+        #: Set by :meth:`close`; new calls and retries refuse from then on.
         self.closed = False
-        self._conns: "list[_PooledConnection | None]" = [None] * self.pool_size
-        # One opener at a time per slot: without this, two concurrent
-        # requests hitting the same dead slot would both dial, and the
-        # loser's socket (plus its read task) would be overwritten in
-        # the pool and leak beyond close()'s reach.
-        self._slot_locks = [asyncio.Lock() for _ in range(self.pool_size)]
-        self._round_robin = 0
-
-    async def open(self) -> None:
-        """Eagerly open one connection — unreachable servers fail fast."""
-        await self._connection(0)
-
-    async def _connection(self, slot: int) -> _PooledConnection:
-        async with self._slot_locks[slot]:
-            if self.closed:
-                raise TransportError("transport is closed")
-            conn = self._conns[slot]
-            if conn is not None and conn.connected:
-                return conn
-            last_error: "BaseException | None" = None
-            for attempt in range(self.retries + 1):
-                if attempt:
-                    # Exponential backoff between attempts, not before
-                    # the first: the common case is a healthy reconnect.
-                    await asyncio.sleep(self.backoff_s * (2 ** (attempt - 1)))
-                if self.closed:
-                    raise TransportError("transport is closed")
-                conn = _PooledConnection(
-                    self.host, self.port, self.max_frame_bytes, ssl=self.ssl
-                )
-                try:
-                    await conn.open()
-                except OSError as exc:
-                    last_error = exc
-                    continue
-                self._conns[slot] = conn
-                return conn
-            raise TransportError(
-                f"cannot connect to {self.host}:{self.port} after "
-                f"{self.retries + 1} attempts: {last_error!r}"
-            )
-
-    def _next_slot(self) -> int:
-        slot = self._round_robin % self.pool_size
-        self._round_robin += 1
-        return slot
-
-    async def request(self, frame: bytes) -> bytes:
-        """One frame, one reply — retried across reconnects."""
-        last_error: "BaseException | None" = None
-        for _ in range(self.retries + 1):
-            if self.closed:
-                raise TransportError("transport is closed")
-            try:
-                conn = await self._connection(self._next_slot())
-                future = await conn.request(frame)
-                return await asyncio.wait_for(future, self.timeout_s)
-            except asyncio.TimeoutError:
-                raise TransportError(
-                    f"request timed out after {self.timeout_s}s"
-                ) from None
-            except (TransportError, OSError) as exc:
-                last_error = exc  # dead socket — rebuild and resend
-        raise TransportError(
-            f"request failed after {self.retries + 1} attempts: {last_error!r}"
-        )
-
-    async def request_many(self, frames: "list[bytes]") -> "list[bytes]":
-        """Pipeline a batch across the pool; responses in input order.
-
-        Frames stripe round-robin over up to ``pool_size`` connections;
-        each connection's share is written back-to-back (one wave of
-        round-trips).  A frame whose connection died retries alone via
-        :meth:`request`.
-        """
-        if not frames:
-            return []
-        futures: "list[asyncio.Future | None]" = []
-        for frame in frames:
-            try:
-                conn = await self._connection(self._next_slot())
-                futures.append(await conn.request(frame))
-            except (TransportError, OSError):
-                futures.append(None)  # retried below, on a fresh connection
-        results: "list[bytes | None]" = [None] * len(frames)
-        for position, future in enumerate(futures):
-            if future is not None:
-                try:
-                    results[position] = await asyncio.wait_for(
-                        future, self.timeout_s
-                    )
-                    continue
-                except (asyncio.TimeoutError, TransportError, OSError):
-                    pass
-            results[position] = await self.request(frames[position])
-        return results
-
-    async def close(self) -> None:
-        # Flag first: concurrent requests observing it at their next
-        # retry boundary abort instead of redialing into a wiped pool.
-        self.closed = True
-        for conn in self._conns:
-            if conn is not None:
-                await conn.close()
-        self._conns = [None] * self.pool_size
-
-
-class NetTransport:
-    """Synchronous facade: a plain ``frame -> frame`` callable.
-
-    Owns a daemon event-loop thread running an
-    :class:`AsyncNetTransport`; every public method is an ordinary
-    blocking call, so schemes, stores and the harness need zero asyncio
-    knowledge.  Thread-safe: any thread may call it, the loop thread
-    serializes socket access.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        pool_size: int = 2,
-        timeout_s: float = 30.0,
-        retries: int = 4,
-        backoff_s: float = 0.05,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        ssl=None,
-    ) -> None:
-        self._async = AsyncNetTransport(
-            host,
-            port,
-            pool_size=pool_size,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            max_frame_bytes=max_frame_bytes,
-            ssl=ssl,
-        )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._spin, name="rsse-net-client", daemon=True
-        )
-        self._thread.start()
-        self._closed = False
-        #: Cross-thread futures of calls still in flight — close()
-        #: must resolve every one before the loop dies, or their
-        #: waiting threads would block forever.
-        self._pending: "set" = set()
+        self._cond = threading.Condition()
+        #: Sockets free to check out.
+        self._idle: "list[socket.socket]" = []
+        #: Every open socket, idle or checked out — what close() reaches.
+        self._open: "set[socket.socket]" = set()
+        #: Sockets being dialed: they hold a pool slot before they exist.
+        self._dialing = 0
         try:
-            self._call(self._async.open())  # fail fast on a dead address
+            # Fail fast on a dead address: one eager connection.
+            self._request([], time.monotonic() + self.timeout_s)
         except BaseException:
             self.close()
             raise
 
-    def _spin(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
+    # -- the pool ------------------------------------------------------------
 
-    def _call(self, coro):
-        if self._closed:
-            coro.close()  # un-awaited coroutine: silence the warning
-            raise TransportError("transport is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        self._pending.add(future)
+    def _checkout(
+        self, deadline: float, *, wait: bool = True
+    ) -> "socket.socket | None":
+        """Take an idle socket, dial one if the pool has room, or wait.
+
+        With ``wait=False`` a full pool returns ``None`` instead.
+        """
+        with self._cond:
+            while True:
+                if self.closed:
+                    raise TransportError("transport is closed")
+                if self._idle:
+                    return self._idle.pop()
+                if len(self._open) + self._dialing < self.pool_size:
+                    self._dialing += 1
+                    break
+                if not wait:
+                    return None
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("no pooled socket came free")
+                self._cond.wait(remaining)
+        sock = None
         try:
-            return future.result()
+            sock = self._dial(deadline)
         finally:
-            self._pending.discard(future)
+            with self._cond:
+                self._dialing -= 1
+                if sock is not None and not self.closed:
+                    self._open.add(sock)
+                self._cond.notify()
+        if self.closed:
+            sock.close()
+            raise TransportError("transport is closed")
+        return sock
+
+    def _dial(self, deadline: float) -> socket.socket:
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=_remaining(deadline)
+        )
+        try:
+            # Request/response traffic is latency-bound; never Nagle it.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.ssl is not None:
+                sock = self.ssl.wrap_socket(sock, server_hostname=self.host)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
+    def _checkin(self, sock: socket.socket) -> None:
+        with self._cond:
+            if not self.closed:
+                self._idle.append(sock)
+                self._cond.notify()
+                return
+            self._open.discard(sock)  # close() ran mid-call: don't pool it
+        sock.close()
+
+    def _discard(self, sock: socket.socket) -> None:
+        """Close a socket whose stream position can no longer be trusted."""
+        with self._cond:
+            self._open.discard(sock)
+            self._cond.notify()
+        sock.close()
+
+    # -- round trips ---------------------------------------------------------
+
+    def _write(
+        self, sock: socket.socket, frames: "list[bytes]", deadline: float
+    ) -> None:
+        if frames:
+            sock.settimeout(_remaining(deadline))
+            sock.sendall(b"".join(frames))
+
+    def _read(
+        self, sock: socket.socket, count: int, deadline: float
+    ) -> "list[bytes]":
+        """Read exactly ``count`` reply frames; anything more is a fault."""
+        replies: "list[bytes]" = []
+        reader = FrameReader(self.max_frame_bytes)
+        while len(replies) < count:
+            sock.settimeout(_remaining(deadline))
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise TransportError("server closed the connection")
+            replies += reader.feed(chunk)
+            if reader.error is not None:
+                raise reader.error
+        if len(replies) > count or reader.buffered_bytes:
+            raise FramingError("unsolicited response frame")
+        return replies
+
+    def _request(self, frames: "list[bytes]", deadline: float) -> "list[bytes]":
+        """Write ``frames`` back to back on one socket, read one reply each.
+
+        Transport failures resend the whole share on a fresh socket;
+        a timeout raises at once.  An empty share just opens a socket.
+        """
+        last_error: "BaseException | None" = None
+        for attempt in range(self.retries + 1):
+            if attempt:
+                # Exponential backoff between attempts, not before the
+                # first: the common case is a healthy reconnect.
+                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            sock = None
+            try:
+                sock = self._checkout(deadline)
+                self._write(sock, frames, deadline)
+                replies = self._read(sock, len(frames), deadline)
+            except (TransportError, FramingError, OSError) as exc:
+                if sock is not None:
+                    self._discard(sock)
+                self._raise_if_final(exc)
+                last_error = exc  # dead socket — rebuild and resend
+                continue
+            self._checkin(sock)
+            return replies
+        raise TransportError(
+            f"request to {self.host}:{self.port} failed after "
+            f"{self.retries + 1} attempts: {last_error!r}"
+        )
+
+    def _raise_if_final(self, exc: BaseException) -> None:
+        """Timeouts and a closed transport end a request; nothing else."""
+        if isinstance(exc, socket.timeout):
+            raise TransportError(
+                f"request timed out after {self.timeout_s}s"
+            ) from None
+        if self.closed:
+            raise TransportError("transport closed mid-request") from exc
 
     # -- the Transport contract ---------------------------------------------
 
     def __call__(self, frame: bytes) -> bytes:
-        return self._call(self._async.request(frame))
+        return self._request([frame], time.monotonic() + self.timeout_s)[0]
 
     def send_many(self, frames: "list[bytes]") -> "list[bytes]":
-        """Pipelined batch send; responses in input order."""
-        return self._call(self._async.request_many(list(frames)))
+        """Pipelined batch send; responses in input order.
+
+        Frames stripe round-robin over every socket free right now (up
+        to ``pool_size``, at least one); each share is written back to
+        back, then the replies are read share by share.  A share whose
+        socket failed is resent alone on a fresh one.
+        """
+        frames = list(frames)
+        if not frames:
+            return []
+        deadline = time.monotonic() + self.timeout_s
+        socks: "list[socket.socket]" = []
+        try:
+            socks.append(self._checkout(deadline))
+            while len(socks) < min(self.pool_size, len(frames)):
+                sock = self._checkout(deadline, wait=False)
+                if sock is None:
+                    break
+                socks.append(sock)
+        except (TransportError, OSError) as exc:
+            try:
+                self._raise_if_final(exc)
+            except TransportError:
+                for sock in socks:
+                    self._checkin(sock)
+                raise
+            if not socks:  # the first dial failed: the retry loop owns it
+                return self._request(frames, deadline)
+        stripes = len(socks)
+        shares = [frames[s::stripes] for s in range(stripes)]
+        owned = dict(enumerate(socks))  # stripe → socket still checked out
+        try:
+            for s, share in enumerate(shares):
+                try:
+                    self._write(owned[s], share, deadline)
+                except OSError as exc:
+                    self._discard(owned.pop(s))
+                    self._raise_if_final(exc)
+            results: "list[bytes]" = [b""] * len(frames)
+            for s, share in enumerate(shares):
+                replies = None
+                if s in owned:
+                    try:
+                        replies = self._read(owned[s], len(share), deadline)
+                        self._checkin(owned.pop(s))
+                    except (TransportError, FramingError, OSError) as exc:
+                        self._discard(owned.pop(s))
+                        self._raise_if_final(exc)
+                if replies is None:
+                    replies = self._request(share, deadline)
+                results[s::stripes] = replies
+            return results
+        finally:
+            for sock in owned.values():  # abandoned mid-stream
+                self._discard(sock)
 
     # -- conveniences --------------------------------------------------------
 
@@ -365,38 +317,24 @@ class NetTransport:
         return reply.payload
 
     def close(self) -> None:
-        if self._closed:
-            return
-        import concurrent.futures
+        """Refuse new calls and shut every socket down, busy ones too.
 
-        self._closed = True  # new calls refused from here on
-        try:
-            if self._thread.is_alive():
-                # Async close flags the core as closed and fails every
-                # pending connection future, so in-flight requests on
-                # other threads wake and abort at their next retry
-                # boundary...
-                asyncio.run_coroutine_threadsafe(
-                    self._async.close(), self._loop
-                ).result(timeout=5)
-                # ...give them a moment to do so before the loop dies.
-                if self._pending:
-                    concurrent.futures.wait(list(self._pending), timeout=5)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join()
-            self._loop.close()
-            # Anything still unresolved can never complete now (its
-            # coroutine died with the loop) — fail it so no caller
-            # thread blocks forever on .result().
-            for future in list(self._pending):
-                if not future.done():
-                    try:
-                        future.set_exception(
-                            TransportError("transport closed mid-request")
-                        )
-                    except Exception:  # noqa: BLE001 — lost the race: done
-                        pass
+        A thread blocked reading a reply wakes at once to EOF and raises
+        :class:`~repro.errors.TransportError`; it closes its own socket.
+        """
+        with self._cond:
+            self.closed = True
+            busy = self._open.difference(self._idle)
+            idle, self._idle = self._idle, []
+            self._open.difference_update(idle)
+            for sock in busy:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # already dead
+            self._cond.notify_all()
+        for sock in idle:
+            sock.close()
 
     def __enter__(self) -> "NetTransport":
         return self

@@ -17,7 +17,7 @@ Design constraints, in order:
    covers them.
 2. **Propagation without plumbing.**  The active trace lives in a
    ``contextvars.ContextVar``.  The server enters the trace on the
-   offload-pool thread that runs the whole request (engine walk,
+   connection thread that runs the whole request (engine walk,
    kernel batches, storage rounds all happen synchronously on it), so
    every nested ``span()`` lands in the right trace with zero
    signature changes through the stack.

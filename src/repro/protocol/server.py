@@ -528,9 +528,10 @@ class RsseServer:
 
         The batch becomes one fresh static index; any logarithmic
         consolidation it triggers runs right here, inside the same
-        call — which the network layer schedules on the exec engine's
-        offload pool under the per-index write lock, so merges never
-        run on the event loop and never interleave with other writes
+        call — which the network layer runs on the writer's connection
+        thread under the per-index write lock, so a merge never queues
+        another connection's frames behind it (they may still wait on
+        the backend's own lock) and never interleaves with other writes
         to the same handle.  Concurrent searches are safe against the
         merge via the update manager's read/write gate
         (exec-cache invalidation is atomic with index retirement).

@@ -221,12 +221,13 @@ class SqliteBackend(StorageBackend):
     Threading: the single connection is opened with
     ``check_same_thread=False`` and every operation serializes through
     one reentrant lock, so the backend may be *used* from any thread
-    (the network server hands requests to an executor pool) but is
-    never *concurrent* — cross-thread callers queue.  Holding the lock
-    for a whole :meth:`transaction` block also keeps another thread's
-    statements from ever joining (or observing) a half-applied
-    transaction on the shared connection.  ``thread_safe_reads`` stays
-    False: parallel reads would just convoy on the lock.
+    (the network server runs each connection's requests on that
+    connection's own thread) but is never *concurrent* — cross-thread
+    callers queue.  Holding the lock for a whole :meth:`transaction`
+    block also keeps another thread's statements from ever joining (or
+    observing) a half-applied transaction on the shared connection.
+    ``thread_safe_reads`` stays False: parallel reads would just convoy
+    on the lock.
     """
 
     probe_batch = 16

@@ -89,3 +89,42 @@ class TestNetworkSubcommands:
             main(["serve", "--help"])
         assert exc.value.code == 0
         assert "--max-inflight" in capsys.readouterr().out
+
+    def test_serve_drains_on_sigterm(self):
+        """``serve --port 0`` announces its port, answers a client, and
+        on SIGTERM drains, prints ``drained.`` and exits 0."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from repro.net import NetTransport
+        from repro.protocol import OkResponse, UploadRecords, parse_reply
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"listening on [^:]+:(\d+)", line)
+            assert match, line
+            with NetTransport("127.0.0.1", int(match.group(1))) as transport:
+                reply = transport(UploadRecords(1, [(1, b"x")]).to_frame())
+                assert isinstance(parse_reply(reply), OkResponse)
+                # An idle pooled connection must not hold the drain up.
+                proc.send_signal(signal.SIGTERM)
+                out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "drained." in out
+        assert "1 frames in, 1 out" in out

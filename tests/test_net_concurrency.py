@@ -164,7 +164,7 @@ def test_concurrent_uploads_to_one_index_serialize(backend_kind, tmp_path):
 
 
 def test_reconnect_under_load_keeps_replies_aligned():
-    """Kill one pooled connection mid-``send_many``: every frame must
+    """Kill one server-side connection mid-``send_many``: every frame must
     still get exactly its own reply, in position (no duplicated,
     dropped, or cross-wired responses after the rebuild-and-retry).
 
@@ -172,6 +172,7 @@ def test_reconnect_under_load_keeps_replies_aligned():
     replies trickle out one by one — the kill provably lands while most
     of the batch is still in flight on the doomed connection.
     """
+    import socket
     import time
 
     from repro.protocol.messages import FetchRequest, UploadRecords
@@ -214,11 +215,11 @@ def test_reconnect_under_load_keeps_replies_aligned():
             # ~10 of 40 replies served at 30ms each — the rest are
             # pending when the server-side writer dies under them.
             time.sleep(0.3)
-            victims = [
-                w for w in server.server._writers if not w.is_closing()
-            ]
+            victims = list(server.server._conns.values())
             assert victims, "no live server-side connection to kill"
-            server._loop.call_soon_threadsafe(victims[0].close)
+            # shutdown, not close: it wakes the connection's thread
+            # mid-recv or mid-send, as a dying peer would.
+            victims[0].shutdown(socket.SHUT_RDWR)
             batch_thread.join(timeout=60)
             assert not errors, errors
             assert results and results[0] == expected

@@ -410,3 +410,52 @@ class TestCloseWithInflight:
         assert not t.is_alive(), "requester thread hung after close()"
         assert len(outcome) == 1  # resolved: either the reply or a typed error
         server.stop()
+
+
+class TestSharedPoolStress:
+    def test_threads_sharing_one_pool_get_their_own_replies(self):
+        """More caller threads than pooled sockets (and than cores), with
+        a tiny switch interval: every call gets its own reply, and the
+        server's counters — now bumped from many connection threads —
+        lose no update."""
+        import sys
+
+        threads_n, calls_n = 8, 40
+        blobs = [(i, b"blob-%03d" % i) for i in range(threads_n * calls_n)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serve_in_thread(RsseServer()) as server:
+                with NetTransport("127.0.0.1", server.port, pool_size=3) as transport:
+                    transport(UploadRecords(11, blobs).to_frame())
+                    frames_before = server.stats().frames_in
+                    failures: "list[str]" = []
+
+                    def caller(t: int) -> None:
+                        try:
+                            for k in range(calls_n):
+                                rid = t * calls_n + k
+                                reply = parse_reply(
+                                    transport(msg.FetchRequest(11, [rid]).to_frame())
+                                )
+                                if reply.blobs != [blobs[rid][1]]:
+                                    failures.append(f"t{t} call {k}: {reply.blobs}")
+                        except Exception as exc:  # noqa: BLE001 — reported below
+                            failures.append(f"t{t}: {exc!r}")
+
+                    workers = [
+                        threading.Thread(target=caller, args=(t,))
+                        for t in range(threads_n)
+                    ]
+                    for w in workers:
+                        w.start()
+                    for w in workers:
+                        w.join(timeout=60)
+                    assert not any(w.is_alive() for w in workers)
+                    assert not failures, failures[:5]
+                    stats = server.stats()
+                    assert stats.frames_in - frames_before == threads_n * calls_n
+                    assert stats.frames_out == stats.frames_in
+                    assert stats.connections_total <= 3  # the pool never grew
+        finally:
+            sys.setswitchinterval(old_interval)

@@ -208,3 +208,114 @@ def test_cluster_store_traced_search_has_shard_children():
     finally:
         for server in servers:
             server.__exit__(None, None, None)
+
+
+def test_wire_churn_race_on_sqlite(tmp_path):
+    """A writer and a reader race over TCP on one SQLite-backed managed
+    store — the shape of the benchmark's churn workload, at test size.
+
+    Every search must hold each id that was live for the whole call and
+    no id that was never live during it; once the writer is done, the
+    full-domain search must equal the oracle exactly.
+    """
+    import threading
+    import time
+
+    from repro.net import NetTransport
+    from repro.storage import SqliteBackend
+
+    domain, index_id = 1 << 10, 4242
+    rng = random.Random(41)
+    initial = {rid: rng.randrange(domain) for rid in range(160)}
+    #: id → [value, insert sent, insert acked, delete sent, delete acked];
+    #: the initial records were acked before the race began.
+    inf = float("inf")
+    history = {rid: [value, -inf, -inf, inf, inf] for rid, value in initial.items()}
+    batches, live, next_id = [], dict(initial), len(initial)
+    for _ in range(60):
+        ops = [(True, rid) for rid in rng.sample(sorted(live), 4)]
+        for _ in range(4):
+            live[next_id] = rng.randrange(domain)
+            ops.append((False, next_id))
+            next_id += 1
+        for is_delete, rid in ops:
+            if is_delete:
+                history[rid][0] = live.pop(rid)
+            else:
+                history[rid] = [live[rid], inf, inf, inf, inf]
+        batches.append(ops)
+
+    core = RsseServer(SqliteBackend(tmp_path / "m.db"))
+    with serve_in_thread(core) as server:
+        transports = [
+            NetTransport(server.host, server.port, pool_size=1) for _ in range(2)
+        ]
+        writer, reader = (
+            NetRangeStore(
+                t,
+                domain_size=domain,
+                scheme="logarithmic-brc",
+                index_id=index_id,
+                consolidation_step=2,
+            )
+            for t in transports
+        )
+        writer.insert_many(initial.items())
+        writer.flush()
+        failures: "list[str]" = []
+
+        def write() -> None:
+            try:
+                for ops in batches:
+                    for is_delete, rid in ops:
+                        op = writer.delete if is_delete else writer.insert
+                        op(rid, history[rid][0])
+                    sent = time.monotonic()
+                    for is_delete, rid in ops:
+                        history[rid][3 if is_delete else 1] = sent
+                    writer.flush()
+                    acked = time.monotonic()
+                    for is_delete, rid in ops:
+                        history[rid][4 if is_delete else 2] = acked
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(f"writer: {exc!r}")
+
+        writer_thread = threading.Thread(target=write)
+        writer_thread.start()
+        searches = 0
+        while writer_thread.is_alive() or searches == 0:
+            lo = rng.randrange(domain)
+            hi = rng.randrange(lo, domain)
+            start = time.monotonic()
+            got = reader.search(lo, hi).ids
+            end = time.monotonic()
+            searches += 1
+            # The writer stamps a batch's send before the flush and its
+            # ack after: a not-yet-stamped (inf) ack keeps an insert out
+            # of ``must`` and a delete inside ``may``, as it should.
+            must = {
+                rid
+                for rid, (value, _, ins_ack, del_sent, _) in history.items()
+                if lo <= value <= hi and ins_ack <= start and del_sent >= end
+            }
+            may = {
+                rid
+                for rid, (value, ins_sent, _, _, del_ack) in history.items()
+                if lo <= value <= hi and ins_sent <= end and del_ack >= start
+            }
+            if not must <= got:
+                failures.append(f"[{lo},{hi}] lost {sorted(must - got)}")
+            if not got <= may:
+                failures.append(f"[{lo},{hi}] phantom {sorted(got - may)}")
+        writer_thread.join(timeout=60)
+        assert not writer_thread.is_alive()
+        assert not failures, failures[:5]
+        assert searches > 1
+
+        final = reader.search(0, domain - 1).ids
+        assert final == frozenset(live)
+        store_stats = core.stats_dict()["stores"][str(index_id)]
+        assert store_stats["consolidations"] >= 10
+        writer.drop()
+        for t in transports:
+            t.close()
